@@ -8,7 +8,7 @@ CHAOS_DISK_TIMEOUT_S ?= 120
 
 .PHONY: test test-fast chaos chaos-net chaos-disk chaos-all docs-check \
 	bench-gateway bench-resilience bench-cluster bench-durability \
-	bench-ann bench-all
+	bench-ann bench-all bench-e2e bench-e2e-smoke
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -53,3 +53,12 @@ bench-ann:
 
 bench-all:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench-all
+
+# The end-to-end and per-layer benchmark declared in BENCHMARK.json
+# (bench/README.md); its worker puts src/ on the path itself.
+bench-e2e:
+	$(PYTHON) bench/run.py
+
+bench-e2e-smoke:
+	$(PYTHON) bench/run.py --scale 0.05
+	$(PYTHON) -m pytest bench/test_harness.py -q

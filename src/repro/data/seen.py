@@ -16,6 +16,7 @@ memory proportional to the number of interactions.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -49,17 +50,30 @@ class SeenIndex:
     @classmethod
     def from_histories(cls, histories: Sequence[Sequence[int]],
                        num_items: int) -> "SeenIndex":
-        """Build the index from per-user interaction histories."""
-        uniques = [
-            np.unique(np.asarray(history, dtype=np.int64))
-            if len(history) else np.zeros(0, dtype=np.int64)
-            for history in histories
-        ]
-        indptr = np.zeros(len(uniques) + 1, dtype=np.int64)
-        if uniques:
-            np.cumsum([u.shape[0] for u in uniques], out=indptr[1:])
-        items = np.concatenate(uniques) if uniques else np.zeros(0, dtype=np.int64)
-        return cls(indptr, items, num_items)
+        """Build the index from per-user interaction histories.
+
+        One sort over ``user * span + item`` keys for all users, where
+        ``span`` covers every id present (so an id outside
+        ``[0, num_items)`` stays with its user, as it did when each
+        history was deduplicated on its own).
+        """
+        num_users = len(histories)
+        lengths = np.fromiter(map(len, histories), dtype=np.int64, count=num_users)
+        flat = np.fromiter(chain.from_iterable(histories), dtype=np.int64,
+                           count=int(lengths.sum()))
+        indptr = np.zeros(num_users + 1, dtype=np.int64)
+        if flat.size == 0:
+            return cls(indptr, flat, num_items)
+        low = min(0, int(flat.min()))
+        span = max(num_items, int(flat.max()) + 1) - low
+        keys = np.repeat(np.arange(num_users, dtype=np.int64), lengths) * span
+        keys += flat - low
+        keys.sort()
+        distinct = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        owner, items = np.divmod(keys[distinct], span)
+        np.cumsum(np.bincount(owner, minlength=num_users), out=indptr[1:])
+        return cls(indptr, items + low, num_items)
 
     # ------------------------------------------------------------------ #
     # Introspection

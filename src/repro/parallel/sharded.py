@@ -21,8 +21,8 @@ Request flow::
     scatter result rows       <---  result queue: (rid, rows)
 
 Workers cache the representations of their shard lazily, exactly like
-the serial engine, so repeated sweeps cost one matmul + mask +
-``argpartition`` per shard — spread over ``n_workers`` cores.
+the serial engine, so repeated sweeps cost one matmul + mask + top-k
+selection per shard — spread over ``n_workers`` cores.
 
 ``n_workers <= 1`` degrades to a plain in-process engine with the same
 API, so callers can thread an ``n_workers`` knob through without

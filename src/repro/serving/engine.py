@@ -16,7 +16,10 @@ takes one frozen snapshot of a trained model and materializes, under
   exclusion of already-interacted items.
 
 A repeated top-k request then costs one ``(B, d) @ (d, num_items)``
-matmul, one index-assignment mask and one ``argpartition`` — no
+matmul, one index-assignment mask and one top-k selection
+(:func:`~repro.evaluation.ranking.top_k_items`: a two-stage threshold
+kernel on multi-row blocks, ``argpartition`` on single rows and small
+catalogues; score descending, ties by ascending item id) — no
 per-request padding, no Python ``set`` construction and no embedding
 forward pass.  ``top_k`` and ``recommend_batch`` process large user
 lists in ``micro_batch_size`` chunks so peak memory stays bounded by
@@ -527,8 +530,13 @@ class ScoringEngine:
         # histories); the per-user views stay cheap to index with and
         # observe() replaces them per user as interactions arrive.
         self._ensure_seen_arrays()
-        for row, user in enumerate(users):
-            scores[row, self._seen_items[user]] = -np.inf
+        if users.size == 0:
+            return
+        # One flat fancy assignment per block instead of one per row.
+        seen = [self._seen_items[user] for user in users]
+        lengths = np.fromiter(map(len, seen), dtype=np.int64, count=len(seen))
+        scores[np.repeat(np.arange(len(seen)), lengths),
+               np.concatenate(seen)] = -np.inf
 
     # ------------------------------------------------------------------ #
     # Scoring

@@ -613,8 +613,9 @@ class ServingGateway:
                     rows = self._score_rows(live, engine_timeout)
                 for request, row in zip(live, rows):
                     # Per-row ranking is bit-identical to the engine's
-                    # batch call: argpartition/argsort operate
-                    # row-independently.
+                    # batch call: top_k_items ranks rows independently
+                    # and by one rule (score descending, id ascending),
+                    # whichever of its kernels the block shape selects.
                     ranked = top_k_items(row[None, :], request.k)[0]
                     request.future._resolve(ranked, row[ranked])
         except BaseException as error:

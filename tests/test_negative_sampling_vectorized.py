@@ -42,6 +42,26 @@ class TestSeenIndex:
         assert index.counts().tolist() == [3, 0, 1]
         assert index.total == 4
 
+    def test_one_pass_build_matches_per_user_unique(self):
+        """The reference is the construction it replaced: one
+        ``np.unique`` per user, concatenated."""
+        rng = np.random.default_rng(3)
+        histories = [rng.integers(0, 40, size=rng.integers(0, 60)).tolist()
+                     for _ in range(50)]
+        histories[0] = []
+        histories[7] = [5, 5, 5, 5]
+        histories[-1] = []
+        # Ids outside [0, num_items) stay with their user.
+        histories[9] = [40, 0, 41, 40, -1]
+        histories.append(np.array([3, 1, 3], dtype=np.int32))
+        index = SeenIndex.from_histories(histories, 40)
+        uniques = [np.unique(np.asarray(h, dtype=np.int64)) for h in histories]
+        assert index.indptr.dtype == index.items.dtype == np.int64
+        assert index.indptr.tolist() == np.cumsum([0] + [u.size for u in uniques]).tolist()
+        assert np.array_equal(index.items, np.concatenate(uniques))
+        only_empty = SeenIndex.from_histories([[], []], 40)
+        assert only_empty.indptr.tolist() == [0, 0, 0] and only_empty.total == 0
+
     def test_out_of_range_users_seen_nothing(self):
         index = SeenIndex.from_histories([[1, 2]], 10)
         assert not index.contains(np.array([5, -1]), np.array([1, 2])).any()

@@ -214,6 +214,30 @@ class TestShardedScoringEngine:
                                   serial.top_k(users, 5, exclude_seen=False))
             assert sharded.score_all([]).shape == (0, NUM_ITEMS)
 
+    def test_shards_on_either_side_of_the_kernel_row_cut_off(self):
+        """``top_k_items`` picks its kernel by block shape: the serial
+        engine ranks one 17-row block, shard 0 a 12-row block (both
+        threshold selection) and shard 1 five rows (``argpartition``).
+        Ties are planted so that only one tie rule gives equal ids."""
+        num_users, num_items = 24, 5000
+        rng = np.random.default_rng(5)
+        histories = [rng.integers(0, num_items, size=15).tolist()
+                     for _ in range(num_users)]
+        model = create_model("HAMm", num_users, num_items, rng=rng,
+                             embedding_dim=8, n_h=4, n_l=2)
+        table = model.candidate_item_embeddings().data
+        table[:num_items] = table[rng.integers(0, num_items // 2, num_items)]
+        serial = ScoringEngine(model, histories)
+        request = list(range(12)) + list(range(19, 24))
+        tied = np.sort(serial.top_k_scored(request, 10)[1], axis=1)
+        assert (np.diff(tied, axis=1) == 0).any(axis=1).all()
+        with ShardedScoringEngine(model, histories, n_workers=2) as sharded:
+            assert shard_bounds(num_users, 2).tolist() == [0, 12, 24]
+            for exclude in (True, False):
+                assert np.array_equal(
+                    sharded.top_k(request, 10, exclude_seen=exclude),
+                    serial.top_k(request, 10, exclude_seen=exclude))
+
     def test_accepts_extra_histories_like_serial(self):
         """histories may cover more users than the model (serial contract)."""
         split = tiny_split(seed=13)

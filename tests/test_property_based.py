@@ -199,6 +199,22 @@ class TestMetricProperties:
         for row in range(scores.shape[0]):
             assert set(scores[row, top[row]]) == set(scores[row, full[row]])
 
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 24),
+           extra_items=st.integers(-300, 700), levels=st.integers(1, 4000),
+           masked_share=st.sampled_from([0.0, 0.5, 0.999]), k=st.integers(1, 70),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=40, deadline=None)
+    def test_top_k_equals_stable_ranking_around_the_kernel_cut_offs(
+            self, seed, rows, extra_items, levels, masked_share, k, dtype):
+        """Blocks on both sides of the row, catalogue and k cut-offs, with
+        few enough score levels to tie and enough ``-inf`` to starve rows."""
+        rng = np.random.default_rng(seed)
+        num_items = 4096 + extra_items
+        scores = rng.integers(0, levels, (rows, num_items + 1)).astype(dtype)
+        scores[rng.random(scores.shape) < masked_share] = -np.inf
+        scores = scores[:, :num_items]
+        assert np.array_equal(top_k_items(scores, k), rank_items(scores)[:, :k])
+
 
 class TestSplitAndWindowProperties:
     @staticmethod

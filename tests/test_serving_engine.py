@@ -9,6 +9,7 @@ import pytest
 from repro.data.dataset import InteractionDataset
 from repro.data.splits import split_setting
 from repro.data.windows import pad_histories, pad_id_for
+from repro.evaluation.evaluator import RankingEvaluator
 from repro.models import HAM, HAMSynergy, Popularity, create_model
 from repro.serving import Recommender, ScoringEngine, explain_ham_score, explain_ham_scores
 from repro.serving.bench import _uncached_recommend, run_serving_benchmark
@@ -126,6 +127,60 @@ class TestScoringEngineParity:
         assert np.array_equal(engine.score_all(users), expected)
 
 
+def legacy_top_k_items(scores, k):
+    """``top_k_items`` as it was before the two-stage threshold kernel."""
+    k = min(k, scores.shape[1])
+    partitioned = np.argpartition(-scores, kth=k - 1, axis=1)[:, :k]
+    row_indices = np.arange(scores.shape[0])[:, None]
+    order = np.argsort(-scores[row_indices, partitioned], axis=1, kind="stable")
+    return partitioned[row_indices, order]
+
+
+class TestTopKKernelParity:
+    """``top_k`` ids and ``evaluate`` metrics before and after the kernel."""
+
+    @staticmethod
+    def before_and_after(monkeypatch, model, split, batch_size):
+        def run():
+            engine = ScoringEngine(model, split.train_plus_valid(),
+                                   micro_batch_size=batch_size)
+            ranked = engine.top_k(list(range(split.num_users)), 10)
+            evaluator = RankingEvaluator(split, batch_size=batch_size)
+            return ranked, evaluator.evaluate(model)
+
+        after = run()
+        monkeypatch.setattr("repro.serving.engine.top_k_items", legacy_top_k_items)
+        return run(), after
+
+    @pytest.mark.parametrize("name,kwargs", [
+        ("HAMs_m", {}),
+        ("Fossil", {"embedding_dim": 8}),   # the item-bias path: contiguous scores
+    ])
+    def test_tiny_fixture(self, monkeypatch, name, kwargs):
+        split = tiny_split(seed=11)
+        model = trained_model(split, name, **kwargs)
+        before, after = self.before_and_after(monkeypatch, model, split, 5)
+        assert np.array_equal(before[0], after[0])
+        assert before[1].metrics == after[1].metrics
+
+    def test_blocks_on_the_threshold_path(self, monkeypatch):
+        """A catalogue and block size the two-stage kernel serves."""
+        num_users, num_items = 40, 5000
+        rng = np.random.default_rng(12)
+        sequences = [rng.integers(0, num_items, size=rng.integers(12, 18)).tolist()
+                     for _ in range(num_users)]
+        split = split_setting(
+            InteractionDataset.from_sequences(sequences, num_items=num_items),
+            "80-3-CUT")
+        model = create_model("HAMm", num_users, num_items, rng=rng,
+                             embedding_dim=8, n_h=4, n_l=2)
+        before, after = self.before_and_after(monkeypatch, model, split, 16)
+        assert np.array_equal(before[0], after[0])
+        assert before[1].metrics == after[1].metrics
+        assert all(np.array_equal(before[1].per_user[name], values)
+                   for name, values in after[1].per_user.items())
+
+
 class TestScoringEngineBehaviour:
     def test_seen_items_never_recommended(self):
         split = tiny_split(seed=5)
@@ -228,6 +283,8 @@ class TestScoringEngineBehaviour:
         model = trained_model(split)
         engine = ScoringEngine(model, split.train_plus_valid())
         assert engine.score_all([]).shape == (0, NUM_ITEMS)
+        assert engine.masked_scores([]).shape == (0, NUM_ITEMS)
+        assert engine.top_k([], 3).shape == (0, 3)
         assert engine.recommend_batch([], 3) == []
 
 
