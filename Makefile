@@ -6,15 +6,19 @@ PYTHON ?= python
 CHAOS_NET_TIMEOUT_S ?= 120
 CHAOS_DISK_TIMEOUT_S ?= 120
 
-.PHONY: test test-fast chaos chaos-net chaos-disk chaos-all docs-check \
-	bench-gateway bench-resilience bench-cluster bench-durability \
-	bench-ann bench-all bench-e2e bench-e2e-smoke
+.PHONY: test test-fast check-clean chaos chaos-net chaos-disk chaos-all \
+	docs-check bench-e2e bench-e2e-smoke bench-compare
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
 test-fast:
 	PYTHONPATH=src $(PYTHON) -m pytest -m fast -q
+
+# A test run must leave no tracked file rewritten and nothing untracked.
+check-clean: test
+	@test -z "$$(git status --porcelain)" || \
+		{ echo "make test left the tree dirty:"; git status --porcelain; exit 1; }
 
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest -m chaos -q -s
@@ -36,24 +40,6 @@ chaos-all:
 docs-check:
 	$(PYTHON) -m scripts.docs_check
 
-bench-gateway:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_gateway_throughput.py -q -s
-
-bench-resilience:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_resilience_recovery.py -q -s
-
-bench-cluster:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_cluster_failover.py -q -s
-
-bench-durability:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_durability_wal.py -q -s
-
-bench-ann:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_ann_retrieval.py -q -s
-
-bench-all:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench-all
-
 # The end-to-end and per-layer benchmark declared in BENCHMARK.json
 # (bench/README.md); its worker puts src/ on the path itself.
 bench-e2e:
@@ -62,3 +48,10 @@ bench-e2e:
 bench-e2e-smoke:
 	$(PYTHON) bench/run.py --scale 0.05
 	$(PYTHON) -m pytest bench/test_harness.py -q
+
+# Perf-regression gate: working tree vs REF on bench/, ten alternating
+# pairs per workload (~1 h; scripts/bench_compare.py takes --pairs and
+# --workload for a shorter look).
+bench-compare:
+	@test -n "$(REF)" || { echo "usage: make bench-compare REF=<sha>"; exit 2; }
+	$(PYTHON) -m scripts.bench_compare $(REF)

@@ -52,15 +52,18 @@ def run_once(benchmark, func):
     return benchmark.pedantic(func, rounds=1, iterations=1)
 
 
-def emit_report(name: str, text: str) -> None:
-    """Print a reproduction report and persist it under benchmarks/results/.
+def emit_report(name: str, text: str, directory: str = "results") -> None:
+    """Print a reproduction report and persist it under benchmarks/<directory>/.
 
     pytest captures stdout by default, so the formatted paper-vs-measured
     tables are also written to ``benchmarks/results/<name>.txt`` where they
-    can be inspected after the run (EXPERIMENTS.md links to them).
+    can be inspected after the run.  ``results/`` is tracked and every
+    report in it is byte-stable for a fixed seed; a report that carries
+    wall-clock columns goes to the git-ignored ``out/`` instead, so a
+    test run leaves the tree clean.
     """
     print()
     print(text)
-    results_dir = Path(__file__).parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    (results_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+    target_dir = Path(__file__).parent / directory
+    target_dir.mkdir(exist_ok=True)
+    (target_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")

@@ -13,7 +13,7 @@ def test_table14_runtime_comparison(benchmark, bench_scale, bench_epochs):
         benchmark,
         lambda: spec.run(scale=bench_scale, epochs=bench_epochs, seed=0),
     )
-    emit_report("table14", output["text"])
+    emit_report("table14", output["text"], directory="out")
 
     rows = output["rows"]
     assert len(rows) == len(BENCHMARK_NAMES)

@@ -16,12 +16,6 @@ Usage examples::
     repro-ham serve-node --checkpoint model.npz --journal /var/lib/ham/journal
     repro-ham route --nodes 127.0.0.1:7001 127.0.0.1:7002 --users 0 1 2
     repro-ham route --nodes 127.0.0.1:7001 127.0.0.1:7002 --wal-dir /var/lib/ham/wal
-    repro-ham bench-serve --dataset cds --out BENCH_serving.json
-    repro-ham bench-train --items 8000 --out BENCH_training.json
-    repro-ham bench-parallel --workers 4 --out BENCH_parallel.json
-    repro-ham bench-resilience --workers 2 --out BENCH_resilience.json
-    repro-ham bench-cluster --nodes 2 --out BENCH_cluster.json
-    repro-ham bench-durability --appends 2000 --out BENCH_durability.json
 """
 
 from __future__ import annotations
@@ -129,76 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ANN candidates kept per probed bucket, as a "
                             "multiple of k")
 
-    bench = subparsers.add_parser(
-        "bench-serve", help="benchmark cached (engine) vs uncached per-request scoring")
-    add_training_arguments(bench)
-    bench.add_argument("--requests", type=int, default=200,
-                       help="timed requests per serving path")
-    bench.add_argument("--users-per-request", type=int, default=1)
-    bench.add_argument("--k", type=int, default=10)
-    bench.add_argument("--out", default="BENCH_serving.json",
-                       help="write the latency report to this JSON path")
-
-    bench_train = subparsers.add_parser(
-        "bench-train",
-        help="benchmark the fast training path (float32 + sparse gradients + "
-             "vectorized sampling) against the legacy substrate")
-    bench_train.add_argument("--method", choices=sorted(MODEL_REGISTRY), default="HAMm")
-    bench_train.add_argument("--users", type=int, default=96,
-                             help="users in the synthetic workload")
-    bench_train.add_argument("--items", type=int, default=8000,
-                             help="catalogue size of the synthetic workload")
-    bench_train.add_argument("--max-history", type=int, default=60,
-                             help="maximum per-user history length")
-    bench_train.add_argument("--epochs", type=int, default=3,
-                             help="timed epochs per training path")
-    bench_train.add_argument("--batch-size", type=int, default=256)
-    bench_train.add_argument("--embedding-dim", type=int, default=48)
-    bench_train.add_argument("--seed", type=int, default=0)
-    bench_train.add_argument("--out", default="BENCH_training.json",
-                             help="write the throughput report to this JSON path")
-
-    bench_parallel = subparsers.add_parser(
-        "bench-parallel",
-        help="benchmark the multi-process substrate (sharded eval sweeps + "
-             "worker-pool data loading) against the serial paths")
-    bench_parallel.add_argument("--method", choices=sorted(MODEL_REGISTRY), default="HAMm")
-    bench_parallel.add_argument("--users", type=int, default=1200,
-                                help="users in the synthetic sweep workload")
-    bench_parallel.add_argument("--items", type=int, default=6000,
-                                help="catalogue size of the sweep workload")
-    bench_parallel.add_argument("--workers", type=int, default=4,
-                                help="worker processes / shards to compare "
-                                     "against the serial path (at least 2)")
-    bench_parallel.add_argument("--repeats", type=int, default=5,
-                                help="timed sweeps per serving path")
-    bench_parallel.add_argument("--k", type=int, default=10)
-    bench_parallel.add_argument("--epochs", type=int, default=3,
-                                help="timed training epochs per loader mode")
-    bench_parallel.add_argument("--seed", type=int, default=0)
-    bench_parallel.add_argument("--out", default="BENCH_parallel.json",
-                                help="write the throughput report to this JSON path")
-
-    bench_resilience = subparsers.add_parser(
-        "bench-resilience",
-        help="benchmark crash recovery: SIGKILL a shard worker mid-sweep and "
-             "measure respawn time, post-recovery parity and degraded mode")
-    bench_resilience.add_argument("--method", choices=sorted(MODEL_REGISTRY),
-                                  default="HAMm")
-    bench_resilience.add_argument("--users", type=int, default=400,
-                                  help="users in the synthetic sweep workload")
-    bench_resilience.add_argument("--items", type=int, default=2000,
-                                  help="catalogue size of the sweep workload")
-    bench_resilience.add_argument("--workers", type=int, default=2,
-                                  help="worker processes / shards (at least 2; "
-                                       "shard 0 is the one killed)")
-    bench_resilience.add_argument("--repeats", type=int, default=5,
-                                  help="timed sweeps per phase")
-    bench_resilience.add_argument("--k", type=int, default=10)
-    bench_resilience.add_argument("--seed", type=int, default=0)
-    bench_resilience.add_argument("--out", default="BENCH_resilience.json",
-                                  help="write the recovery report to this JSON path")
-
     serve_node = subparsers.add_parser(
         "serve-node",
         help="run one cluster engine node: train a model (or load a "
@@ -256,63 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("always", "interval", "never"),
                        help="fsync policy of the observe WAL")
 
-    bench_cluster = subparsers.add_parser(
-        "bench-cluster",
-        help="benchmark multi-node serving: networked overhead vs the "
-             "in-process sharded engine, and failover recovery after the "
-             "primary is SIGKILLed mid-stream")
-    bench_cluster.add_argument("--method", choices=sorted(MODEL_REGISTRY),
-                               default="HAMm")
-    bench_cluster.add_argument("--users", type=int, default=400,
-                               help="users in the synthetic sweep workload")
-    bench_cluster.add_argument("--items", type=int, default=2000,
-                               help="catalogue size of the sweep workload")
-    bench_cluster.add_argument("--nodes", type=int, default=2,
-                               help="engine node processes (at least 2; "
-                                    "node 0 is the one killed)")
-    bench_cluster.add_argument("--repeats", type=int, default=5,
-                               help="timed sweeps per phase")
-    bench_cluster.add_argument("--k", type=int, default=10)
-    bench_cluster.add_argument("--seed", type=int, default=0)
-    bench_cluster.add_argument("--out", default="BENCH_cluster.json",
-                               help="write the cluster report to this JSON path")
-
-    bench_durability = subparsers.add_parser(
-        "bench-durability",
-        help="benchmark the durable-state layer: WAL append throughput per "
-             "fsync policy, recovery time vs log length, torn-tail recovery "
-             "and compaction reclaim")
-    bench_durability.add_argument("--appends", type=int, default=2000,
-                                  help="records appended per fsync policy")
-    bench_durability.add_argument("--segment-kb", type=int, default=64,
-                                  help="WAL segment rotation threshold in KiB")
-    bench_durability.add_argument("--seed", type=int, default=0)
-    bench_durability.add_argument("--out", default="BENCH_durability.json",
-                                  help="write the durability report to this "
-                                       "JSON path")
-
-    bench_ann = subparsers.add_parser(
-        "bench-ann",
-        help="benchmark ANN candidate generation vs exact retrieval over a "
-             "large synthetic catalogue: p50 latency and measured recall@k "
-             "per probe-dial setting")
-    bench_ann.add_argument("--items", type=int, default=100_000,
-                           help="synthetic catalogue size")
-    bench_ann.add_argument("--dim", type=int, default=64,
-                           help="embedding dimension of the catalogue")
-    bench_ann.add_argument("--k", type=int, default=10)
-    bench_ann.add_argument("--queries", type=int, default=64,
-                           help="queries timed per dial setting")
-    bench_ann.add_argument("--seed", type=int, default=0)
-    bench_ann.add_argument("--out", default="BENCH_ann.json",
-                           help="write the retrieval report to this JSON path")
-
-    bench_all = subparsers.add_parser(
-        "bench-all",
-        help="run every persisted benchmark artifact through its regression "
-             "guard (the thresholds the benchmark test suite pins)")
-    bench_all.add_argument("--results-dir", default="benchmarks/results",
-                           help="directory holding the BENCH_*.json artifacts")
     return parser
 
 
@@ -393,7 +260,7 @@ def _command_train(dataset: str, method: str, setting: str, scale: str | None,
 
 def _train_for_serving(dataset: str, method: str, setting: str, scale: str | None,
                        epochs: int | None, seed: int):
-    """Shared train-then-snapshot path of the serve/bench-serve commands."""
+    """Shared train-then-snapshot path of the serve/serve-node commands."""
     data = load_benchmark(dataset, scale=scale)
     split = split_setting(data, setting)
     rng = np.random.default_rng(seed)
@@ -574,79 +441,6 @@ def _command_serve(dataset: str, method: str, setting: str, scale: str | None,
     return UNHEALTHY_EXIT_CODE if unhealthy else 0
 
 
-def _command_bench_serve(dataset: str, method: str, setting: str, scale: str | None,
-                         epochs: int | None, seed: int, requests: int,
-                         users_per_request: int, k: int, out: str) -> int:
-    from repro.serving import run_serving_benchmark, write_report
-
-    model, histories = _train_for_serving(dataset, method, setting, scale, epochs, seed)
-    report = run_serving_benchmark(model, histories, num_requests=requests,
-                                   users_per_request=users_per_request, k=k,
-                                   seed=seed, model_name=method)
-    print(report.summary())
-    write_report(report, out)
-    print(f"latency report written to {out}")
-    return 0
-
-
-def _command_bench_train(method: str, users: int, items: int, max_history: int,
-                         epochs: int, batch_size: int, embedding_dim: int,
-                         seed: int, out: str) -> int:
-    from repro.training.bench import run_training_benchmark, write_training_report
-
-    report = run_training_benchmark(
-        num_users=users, num_items=items, max_history=max_history,
-        epochs=epochs, batch_size=batch_size, model_name=method, seed=seed,
-        model_kwargs={"embedding_dim": embedding_dim},
-    )
-    print(report.summary())
-    write_training_report(report, out)
-    print(f"throughput report written to {out}")
-    return 0
-
-
-def _command_bench_parallel(method: str, users: int, items: int, workers: int,
-                            repeats: int, k: int, epochs: int, seed: int,
-                            out: str) -> int:
-    from repro.parallel.bench import run_parallel_benchmark, write_parallel_report
-
-    if workers < 2:
-        print("bench-parallel compares worker processes against the serial "
-              "path and needs --workers >= 2")
-        return 2
-
-    report = run_parallel_benchmark(
-        num_users=users, num_items=items, n_workers=workers, repeats=repeats,
-        k=k, train_epochs=epochs, model_name=method, seed=seed,
-    )
-    print(report.summary())
-    write_parallel_report(report, out)
-    print(f"parallel throughput report written to {out}")
-    return 0
-
-
-def _command_bench_resilience(method: str, users: int, items: int, workers: int,
-                              repeats: int, k: int, seed: int, out: str) -> int:
-    from repro.parallel.resilience_bench import (
-        run_resilience_benchmark,
-        write_resilience_report,
-    )
-
-    if workers < 2:
-        print("bench-resilience kills one shard worker and needs "
-              "--workers >= 2")
-        return 2
-
-    report = run_resilience_benchmark(
-        num_users=users, num_items=items, n_workers=workers, repeats=repeats,
-        k=k, model_name=method, seed=seed,
-    )
-    print(report.summary())
-    write_resilience_report(report, out)
-    print(f"resilience report written to {out}")
-    return 0
-
-
 def _command_serve_node(dataset: str, method: str, setting: str,
                         scale: str | None, epochs: int | None, seed: int,
                         checkpoint: str | None, bind: str, workers: int,
@@ -743,69 +537,6 @@ def _command_route(nodes: list[str], users: list[int], k: int,
     return UNHEALTHY_EXIT_CODE if unhealthy else 0
 
 
-def _command_bench_cluster(method: str, users: int, items: int, nodes: int,
-                           repeats: int, k: int, seed: int, out: str) -> int:
-    from repro.cluster.bench import run_cluster_benchmark, write_cluster_report
-
-    if nodes < 2:
-        print("bench-cluster kills the primary node and needs --nodes >= 2")
-        return 2
-
-    report = run_cluster_benchmark(
-        num_users=users, num_items=items, n_nodes=nodes, repeats=repeats,
-        k=k, model_name=method, seed=seed,
-    )
-    print(report.summary())
-    write_cluster_report(report, out)
-    print(f"cluster report written to {out}")
-    return 0
-
-
-def _command_bench_durability(appends: int, segment_kb: int, seed: int,
-                              out: str) -> int:
-    from repro.durability.bench import (
-        run_durability_benchmark,
-        write_durability_report,
-    )
-
-    report = run_durability_benchmark(appends=appends, segment_kb=segment_kb,
-                                      seed=seed)
-    print(report.summary())
-    write_durability_report(report, out)
-    print(f"durability report written to {out}")
-    return 0
-
-
-def _command_bench_ann(items: int, dim: int, k: int, queries: int, seed: int,
-                       out: str) -> int:
-    from repro.retrieval.bench import (
-        run_retrieval_benchmark,
-        write_retrieval_report,
-    )
-
-    report = run_retrieval_benchmark(num_items=items, dim=dim, k=k,
-                                     num_queries=queries, seed=seed)
-    print(report.summary())
-    write_retrieval_report(report, out)
-    print(f"retrieval report written to {out}")
-    return 0
-
-
-def _command_bench_all(results_dir: str) -> int:
-    from repro.bench_all import run_all_guards
-
-    results = run_all_guards(results_dir)
-    if not results:
-        print(f"no BENCH_*.json artifacts under {results_dir}")
-        return 2
-    for result in results:
-        print(result.line())
-    failed = sum(result.status == "fail" for result in results)
-    passed = sum(result.status == "pass" for result in results)
-    print(f"{passed}/{len(results)} artifacts passed their regression guard")
-    return 1 if failed else 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
@@ -833,25 +564,6 @@ def main(argv: list[str] | None = None) -> int:
                               max_queue=args.max_queue,
                               retrieval=args.retrieval, n_probe=args.n_probe,
                               candidate_multiplier=args.candidate_multiplier)
-    if args.command == "bench-serve":
-        return _command_bench_serve(args.dataset, args.method, args.setting,
-                                    args.scale, args.epochs, args.seed,
-                                    requests=args.requests,
-                                    users_per_request=args.users_per_request,
-                                    k=args.k, out=args.out)
-    if args.command == "bench-train":
-        return _command_bench_train(args.method, args.users, args.items,
-                                    args.max_history, args.epochs,
-                                    args.batch_size, args.embedding_dim,
-                                    args.seed, args.out)
-    if args.command == "bench-parallel":
-        return _command_bench_parallel(args.method, args.users, args.items,
-                                       args.workers, args.repeats, args.k,
-                                       args.epochs, args.seed, args.out)
-    if args.command == "bench-resilience":
-        return _command_bench_resilience(args.method, args.users, args.items,
-                                         args.workers, args.repeats, args.k,
-                                         args.seed, args.out)
     if args.command == "serve-node":
         return _command_serve_node(args.dataset, args.method, args.setting,
                                    args.scale, args.epochs, args.seed,
@@ -868,18 +580,6 @@ def main(argv: list[str] | None = None) -> int:
                               request_timeout=args.request_timeout,
                               gateway=args.gateway, wal_dir=args.wal_dir,
                               wal_fsync=args.wal_fsync)
-    if args.command == "bench-cluster":
-        return _command_bench_cluster(args.method, args.users, args.items,
-                                      args.nodes, args.repeats, args.k,
-                                      args.seed, args.out)
-    if args.command == "bench-durability":
-        return _command_bench_durability(args.appends, args.segment_kb,
-                                         args.seed, args.out)
-    if args.command == "bench-ann":
-        return _command_bench_ann(args.items, args.dim, args.k, args.queries,
-                                  args.seed, args.out)
-    if args.command == "bench-all":
-        return _command_bench_all(args.results_dir)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -22,9 +22,6 @@ state survive the process:
   crash-before-rename) driving the ``chaos_disk`` test tier, built on
   the same :func:`~repro.parallel.faults.fault_rng` stream family as
   the shard and network fault plans.
-* :mod:`repro.durability.bench` — the ``repro-ham bench-durability``
-  backend measuring append/fsync throughput, recovery time versus log
-  length, and compaction reclaim.
 
 See ``docs/robustness.md`` for the disk failure model and the
 recovery/truncation contract.

@@ -72,7 +72,6 @@ def _run_ext_baselines(dataset: str = "cds", setting: str = "80-20-CUT",
             "Recall@10": round(run.evaluation.metrics["Recall@10"], 4),
             "NDCG@5": round(run.evaluation.metrics["NDCG@5"], 4),
             "NDCG@10": round(run.evaluation.metrics["NDCG@10"], 4),
-            "s/user": f"{run.timing.seconds_per_user:.1e}",
         })
     text = format_table(
         rows,

@@ -1,26 +1,18 @@
 """Multi-process execution substrate.
 
-Parallelizes both ends of the pipeline across worker processes while
+Parallelizes serving and evaluation across worker processes while
 keeping the single-process results bit-for-bit reproducible:
 
 * :class:`~repro.parallel.shm.SharedArena` — publish a set of read-only
   numpy arrays into one ``multiprocessing.shared_memory`` segment;
   workers attach zero-copy views.
-* :class:`~repro.parallel.sharded.ShardedScoringEngine` — the serving /
-  evaluation half: the frozen candidate table, cached padded inputs and
-  CSR seen-item arrays are shared once, and ``score_all`` /
+* :class:`~repro.parallel.sharded.ShardedScoringEngine` — the frozen
+  candidate table, cached padded inputs and CSR seen-item arrays are
+  shared once, and ``score_all`` /
   ``masked_scores`` / ``top_k`` requests fan out to persistent workers
   by user-range shard, bit-identical to the serial
   :class:`~repro.serving.engine.ScoringEngine`; ``observe()`` routes
   incremental updates to the owning worker (no snapshot rebuild).
-* :class:`~repro.parallel.loader.ParallelBatchLoader` — the training
-  half: batch gathering and vectorized negative sampling run in worker
-  processes attached to the shared ``SeenIndex``, feeding the optimizer
-  loop through a bounded prefetch queue with deterministic per-batch
-  seeding (same stream for any worker count).
-* :func:`~repro.parallel.bench.run_parallel_benchmark` — the
-  workers=1-vs-N throughput harness behind ``BENCH_parallel.json`` and
-  ``repro-ham bench-parallel``.
 * Fault tolerance (``docs/robustness.md``):
   :class:`~repro.parallel.supervisor.ShardSupervisor` +
   :class:`~repro.parallel.supervisor.RestartPolicy` respawn dead shard
@@ -28,9 +20,7 @@ keeping the single-process results bit-for-bit reproducible:
   exponential-backoff circuit breaker) and degrade exhausted shards to
   an in-process serial fallback;
   :class:`~repro.parallel.faults.FaultPlan` injects deterministic
-  worker crashes/delays/stalls for the chaos suite and
-  :func:`~repro.parallel.resilience_bench.run_resilience_benchmark`
-  (``BENCH_resilience.json``, ``repro-ham bench-resilience``).
+  worker crashes/delays/stalls for the chaos suite.
 """
 
 from repro.parallel.shm import ArenaLayout, SharedArena, SharedArraySpec
@@ -48,14 +38,12 @@ from repro.parallel.supervisor import (
     ShardSupervisor,
 )
 from repro.parallel.faults import FaultInjector, FaultPlan, ShardFault
-from repro.parallel.loader import ParallelBatchLoader
 
 __all__ = [
     "ArenaLayout",
     "SharedArena",
     "SharedArraySpec",
     "ShardedScoringEngine",
-    "ParallelBatchLoader",
     "DEFAULT_REQUEST_TIMEOUT_S",
     "default_start_method",
     "make_scoring_engine",

@@ -24,8 +24,8 @@ kill/stall fires only in the worker's first incarnation so a respawned
 worker recovers cleanly; ``every_incarnation=True`` makes the fault
 permanent, which is how the restart-budget-exhaustion path is driven.
 
-The chaos test suite (``tests/test_resilience.py``, ``make chaos``) and
-the ``BENCH_resilience.json`` harness are built on these plans.
+The chaos test suite (``tests/test_resilience.py``, ``make chaos``) is
+built on these plans.
 """
 
 from __future__ import annotations

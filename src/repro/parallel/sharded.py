@@ -10,8 +10,8 @@ attaches zero-copy views and wires them into a regular
 :meth:`ScoringEngine.from_snapshot` engine.  Because every worker runs
 the serial engine's own code on identical arrays, sharded ``score_all``
 / ``masked_scores`` / ``top_k`` results are **bit-for-bit identical** to
-the single-process engine (asserted by the test suite and the
-``BENCH_parallel.json`` harness).
+the single-process engine (asserted by the test suite and by
+``bench/``'s reference check).
 
 Request flow::
 
@@ -311,7 +311,7 @@ class ShardedScoringEngine:
     fault_plan:
         Optional :class:`~repro.parallel.faults.FaultPlan` injected into
         the workers — deterministic crashes/delays/stalls for the chaos
-        test suite and the resilience benchmark.  Production engines
+        test suite.  Production engines
         leave this ``None``.
     """
 

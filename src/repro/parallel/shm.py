@@ -11,7 +11,7 @@ views.
 
 :class:`SharedArena` packs any ``{key: ndarray}`` mapping back-to-back
 (64-byte aligned) into one segment, so there is exactly one OS object to
-create, attach and unlink per engine/loader — leaked-segment accounting
+create, attach and unlink per engine — leaked-segment accounting
 stays trivial and the shutdown fixture in the tests can assert that
 ``/dev/shm`` is clean afterwards.
 

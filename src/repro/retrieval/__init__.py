@@ -14,8 +14,7 @@ monotone in ``n_probe``.
 The trained index serializes to named arrays (``ann_*``) that travel
 through the :class:`~repro.parallel.shm.SharedArena` (zero-copy shard
 attach) and the cluster snapshot frames; see :mod:`repro.retrieval.index`
-for the layout and :mod:`repro.retrieval.bench` for the
-``BENCH_ann.json`` harness.
+for the layout.
 """
 
 from repro.retrieval.index import (

@@ -27,10 +27,6 @@ on top of a trained model:
   sheds load with :class:`~repro.serving.gateway.GatewayOverloadedError`
   at the ``max_queue`` watermark, and per-request deadlines propagate
   into the engine (see ``docs/robustness.md``).
-* :func:`~repro.serving.bench.run_serving_benchmark` — the cached-vs-
-  uncached latency harness behind ``repro-ham bench-serve`` — and
-  :func:`~repro.serving.gateway_bench.run_gateway_benchmark`, the
-  batched-vs-unbatched throughput harness behind ``BENCH_gateway.json``.
 * :func:`~repro.serving.deploy.engine_from_checkpoint` — rebuild a
   trained model from a ``.npz`` checkpoint and serve it (serially or
   sharded over worker processes) without the trainer stack
@@ -52,17 +48,6 @@ from repro.serving.explain import (
     explain_ham_score,
     explain_ham_scores,
 )
-from repro.serving.bench import (
-    LatencyStats,
-    ServingBenchReport,
-    run_serving_benchmark,
-    write_report,
-)
-from repro.serving.gateway_bench import (
-    GatewayBenchReport,
-    run_gateway_benchmark,
-    write_gateway_report,
-)
 
 __all__ = [
     "Recommendation",
@@ -79,11 +64,4 @@ __all__ = [
     "HAMScoreExplanation",
     "explain_ham_score",
     "explain_ham_scores",
-    "LatencyStats",
-    "ServingBenchReport",
-    "run_serving_benchmark",
-    "write_report",
-    "GatewayBenchReport",
-    "run_gateway_benchmark",
-    "write_gateway_report",
 ]

@@ -20,7 +20,7 @@ entirely and re-ranks the cached ``(num_items,)`` row.  Because the
 cached row is bit-for-bit the row the engine would recompute (until
 ``observe``/``refresh`` invalidates it), gateway results are
 **bit-identical** to direct ``ScoringEngine.top_k`` calls — asserted by
-the test suite and the ``BENCH_gateway.json`` harness.
+the test suite and by ``bench/``'s reference check.
 
 ``observe(user, item)`` forwards the interaction to the engine (which
 routes it to the owning shard when the engine is a

@@ -12,13 +12,6 @@ stopping and checkpointing — live in their own modules and are opt-in;
 the defaults reproduce the paper's setup exactly.
 """
 
-from repro.training.bench import (
-    FAST_PATH_OVERRIDES,
-    LEGACY_PATH_OVERRIDES,
-    TrainingBenchReport,
-    run_training_benchmark,
-    write_training_report,
-)
 from repro.training.bpr import bpr_loss
 from repro.training.checkpoint import (CheckpointCorruptError, load_checkpoint,
                                         open_checkpoint, read_metadata,
@@ -74,9 +67,4 @@ __all__ = [
     "open_checkpoint",
     "read_metadata",
     "CheckpointCorruptError",
-    "FAST_PATH_OVERRIDES",
-    "LEGACY_PATH_OVERRIDES",
-    "TrainingBenchReport",
-    "run_training_benchmark",
-    "write_training_report",
 ]

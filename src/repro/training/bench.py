@@ -1,123 +1,15 @@
-"""Training throughput harness: fast path vs legacy path.
+"""Synthetic training workload generator.
 
-The serving engine gave request latency a benchmark artifact
-(``BENCH_serving.json``); this module does the same for the other half of
-the paper's runtime story (Table 14): epoch time of the BPR training
-loop.  The same synthetic HAM workload is trained twice —
-
-* **legacy** — the seed-repo substrate: ``float64`` everywhere, dense
-  ``(num_items, d)`` embedding-gradient scatters, per-element Python
-  rejection sampling, per-lookup index validation;
-* **fast** — the overhauled hot path: ``float32`` compute dtype, indexed
-  (sparse) embedding gradients with row-wise Adam, vectorized negative
-  sampling, one-time index validation
-
-— and the p50 epoch times are compared.  :func:`write_training_report`
-persists the result as ``benchmarks/results/BENCH_training.json``, the
-artifact asserted by ``benchmarks/test_training_throughput.py`` and
-produced by the ``repro-ham bench-train`` CLI command.
+Kept at this import path because the frozen ``bench/fixtures.py`` (and
+``tests/test_gateway.py``) import it from here; the benchmark itself
+lives in ``bench/`` (see ``docs/benchmarks.md``).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
-from repro.bench_schema import write_bench_report
-
-from repro.models.nonparametric import NonParametricRecommender
-from repro.models.registry import create_model
-from repro.training.config import TrainingConfig
-from repro.training.trainer import Trainer
-
-__all__ = [
-    "EpochStats",
-    "TrainingBenchReport",
-    "FAST_PATH_OVERRIDES",
-    "LEGACY_PATH_OVERRIDES",
-    "synthetic_training_histories",
-    "run_training_benchmark",
-    "write_training_report",
-]
-
-#: TrainingConfig overrides selecting the overhauled hot path.
-FAST_PATH_OVERRIDES = dict(
-    dtype="float32",
-    sparse_embedding_grad=True,
-    vectorized_sampling=True,
-    validate_indices=False,
-    fused_scoring=True,
-)
-
-#: TrainingConfig overrides reproducing the seed-repo substrate.
-LEGACY_PATH_OVERRIDES = dict(
-    dtype="float64",
-    sparse_embedding_grad=False,
-    vectorized_sampling=False,
-    validate_indices=True,
-    fused_scoring=False,
-)
-
-
-@dataclass(frozen=True)
-class EpochStats:
-    """Epoch-time distribution of one training path."""
-
-    epochs: int
-    p50_s: float
-    mean_s: float
-    total_s: float
-    samples_per_sec: float
-    final_loss: float
-
-    @staticmethod
-    def from_epoch_seconds(epoch_seconds: list[float], num_instances: int,
-                           final_loss: float) -> "EpochStats":
-        if not epoch_seconds:
-            raise ValueError("no timed epochs recorded")
-        values = np.asarray(epoch_seconds, dtype=np.float64)
-        p50 = float(np.percentile(values, 50))
-        return EpochStats(
-            epochs=len(epoch_seconds),
-            p50_s=p50,
-            mean_s=float(values.mean()),
-            total_s=float(values.sum()),
-            samples_per_sec=float(num_instances / p50) if p50 > 0 else float("inf"),
-            final_loss=final_loss,
-        )
-
-
-@dataclass(frozen=True)
-class TrainingBenchReport:
-    """Fast-vs-legacy training comparison for one model/workload."""
-
-    model_name: str
-    num_users: int
-    num_items: int
-    num_instances: int
-    batch_size: int
-    epochs: int
-    fast: EpochStats
-    legacy: EpochStats
-    #: Median epoch-time ratio (legacy p50 / fast p50); the median keeps
-    #: scheduler/GC outliers from dominating the comparison.
-    speedup: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    def summary(self) -> str:
-        return (
-            f"{self.model_name} on {self.num_instances} instances "
-            f"({self.num_users} users x {self.num_items} items, "
-            f"batch {self.batch_size}): "
-            f"fast p50 {self.fast.p50_s:.3f} s/epoch "
-            f"({self.fast.samples_per_sec:.0f} samples/s) "
-            f"vs legacy p50 {self.legacy.p50_s:.3f} s/epoch "
-            f"({self.legacy.samples_per_sec:.0f} samples/s) "
-            f"-> {self.speedup:.1f}x"
-        )
+__all__ = ["synthetic_training_histories"]
 
 
 def synthetic_training_histories(num_users: int, num_items: int,
@@ -128,86 +20,3 @@ def synthetic_training_histories(num_users: int, num_items: int,
         rng.integers(0, num_items, size=int(rng.integers(max_history // 2, max_history))).tolist()
         for _ in range(num_users)
     ]
-
-
-def _timed_fit(model_name: str, histories: list[list[int]], num_users: int,
-               num_items: int, config: TrainingConfig, seed: int,
-               model_kwargs: dict) -> tuple[EpochStats, int]:
-    model = create_model(model_name, num_users, num_items,
-                         rng=np.random.default_rng(seed), **model_kwargs)
-    if isinstance(model, NonParametricRecommender):
-        raise ValueError(
-            f"{model_name} is count-based: it has no BPR training loop to "
-            "benchmark (choose a gradient-based method)"
-        )
-    result = Trainer(model, config).fit(histories)
-    stats = EpochStats.from_epoch_seconds(result.epoch_seconds, result.num_instances,
-                                          result.final_loss)
-    return stats, result.num_instances
-
-
-def run_training_benchmark(num_users: int = 96, num_items: int = 8000,
-                           max_history: int = 60, epochs: int = 3,
-                           batch_size: int = 256, model_name: str = "HAMm",
-                           seed: int = 0,
-                           model_kwargs: dict | None = None) -> TrainingBenchReport:
-    """Train the same synthetic workload on both paths and compare p50 epochs.
-
-    Both paths see identical histories, identical model initialization
-    (same construction seed) and the same epoch budget; only the
-    substrate flags of :class:`~repro.training.config.TrainingConfig`
-    differ.  The default catalogue of 8000 items is *small* next to the
-    paper's datasets (18k-170k items); the dense path's per-batch
-    ``(num_items, d)`` gradient scatters and full-table Adam updates
-    scale with the catalogue, so the measured speedup grows with it.
-    """
-    if epochs < 1:
-        raise ValueError("epochs must be positive")
-    model_kwargs = dict(model_kwargs or {})
-    if model_name in ("POP", "ItemKNN", "MarkovChain"):
-        # Count-based models take no embedding_dim; construction must
-        # still succeed so the NonParametricRecommender check below can
-        # explain why they cannot be benchmarked.
-        model_kwargs.pop("embedding_dim", None)
-    else:
-        model_kwargs.setdefault("embedding_dim", 48)
-    if model_name.startswith("HAM"):
-        model_kwargs.setdefault("n_h", 10)
-        model_kwargs.setdefault("n_l", 2)
-    histories = synthetic_training_histories(num_users, num_items, max_history, seed=seed)
-
-    base = TrainingConfig(num_epochs=epochs, batch_size=batch_size, seed=seed,
-                          keep_best=False)
-    fast_stats, num_instances = _timed_fit(
-        model_name, histories, num_users, num_items,
-        base.with_overrides(**FAST_PATH_OVERRIDES), seed, model_kwargs)
-    legacy_stats, _ = _timed_fit(
-        model_name, histories, num_users, num_items,
-        base.with_overrides(**LEGACY_PATH_OVERRIDES), seed, model_kwargs)
-
-    return TrainingBenchReport(
-        model_name=model_name,
-        num_users=num_users,
-        num_items=num_items,
-        num_instances=num_instances,
-        batch_size=batch_size,
-        epochs=epochs,
-        fast=fast_stats,
-        legacy=legacy_stats,
-        speedup=legacy_stats.p50_s / fast_stats.p50_s
-        if fast_stats.p50_s > 0 else float("inf"),
-    )
-
-
-def write_training_report(report: TrainingBenchReport, path) -> None:
-    """Persist a report as the ``BENCH_training.json`` artifact.
-
-    Uses the unified envelope of :mod:`repro.bench_schema` (timestamp,
-    host info, appended headline history) shared by every ``BENCH_*``
-    artifact.
-    """
-    write_bench_report(path, "training", report.as_dict(), headline={
-        "speedup": report.speedup,
-        "fast_p50_s": report.fast.p50_s,
-        "legacy_p50_s": report.legacy.p50_s,
-    })

@@ -67,23 +67,6 @@ class TrainingConfig:
         epoch loop (debug flag).  The trainer always validates the
         training instances and sampler output once up front, so the
         per-lookup check is redundant and off by default.
-    fused_scoring:
-        Score positive and negative candidates through one fused forward
-        (:meth:`~repro.models.base.SequentialRecommender.score_item_pairs`)
-        instead of two separate :meth:`score_items` passes.  Same
-        objective and gradients up to floating-point accumulation order;
-        ``False`` restores the two-pass step of the earlier substrate.
-    loader_workers:
-        Worker processes for batch construction + negative sampling
-        (:class:`~repro.parallel.loader.ParallelBatchLoader`).  ``0``
-        (the default) keeps everything in-process and bit-identical to
-        the earlier trainer; ``> 0`` switches to the deterministic
-        prefetching loader, whose batch stream is identical for any
-        worker count at a fixed seed (but is a different random stream
-        from the in-process path).
-    prefetch_batches:
-        Bound of the loader's ready-batch queue (only with
-        ``loader_workers > 0``).
     """
 
     num_epochs: int = 30
@@ -102,9 +85,6 @@ class TrainingConfig:
     sparse_embedding_grad: bool = True
     vectorized_sampling: bool = True
     validate_indices: bool = False
-    fused_scoring: bool = True
-    loader_workers: int = 0
-    prefetch_batches: int = 4
 
     def __post_init__(self):
         if self.num_epochs < 1:
@@ -125,10 +105,6 @@ class TrainingConfig:
             raise ValueError("max_grad_norm must be positive")
         if self.dtype is not None and str(self.dtype) not in ("float32", "float64"):
             raise ValueError("dtype must be 'float32', 'float64' or None")
-        if self.loader_workers < 0:
-            raise ValueError("loader_workers must be non-negative")
-        if self.prefetch_batches < 1:
-            raise ValueError("prefetch_batches must be positive")
 
     def with_overrides(self, **overrides) -> "TrainingConfig":
         """Return a copy with selected fields replaced."""

@@ -43,8 +43,8 @@ class NegativeSampler:
         nearly every item.
     vectorized:
         Use the batched resampling path (default).  ``False`` selects the
-        legacy per-element Python loop, kept for parity/distribution
-        testing and for the benchmark's "legacy path" timing.
+        per-element Python loop, kept as the reference for the
+        parity/distribution tests.
     """
 
     def __init__(self, num_items: int, user_sequences: list[list[int]] | None = None,

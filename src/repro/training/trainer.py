@@ -40,7 +40,7 @@ class TrainingResult:
     best_epoch: int = -1
     train_seconds: float = 0.0
     #: Wall-clock seconds of each optimization epoch (excludes validation);
-    #: the training benchmark derives its p50 epoch time from this.
+    #: ``bench/``'s ``train_epoch`` workload reads its timings from this.
     epoch_seconds: list[float] = field(default_factory=list)
     #: Sliding-window instances the run trained on (0 for count-based models).
     num_instances: int = 0
@@ -125,37 +125,15 @@ class Trainer:
         self._validate_instances(instances)
 
         seen_index = SeenIndex.from_histories(train_sequences, self.model.num_items)
-        loader = None
-        sampler = None
-        iterator = None
-        if self.config.loader_workers > 0:
-            # Worker-pool path: batches arrive with negatives already
-            # drawn; the optimizer loop never waits on sampling.
-            from repro.parallel.loader import ParallelBatchLoader
-
-            loader = ParallelBatchLoader(
-                instances, self.model.num_items, seen_index,
-                batch_size=self.config.batch_size,
-                num_negatives=self.num_negatives,
-                seed=self.config.seed,
-                n_workers=self.config.loader_workers,
-                prefetch_batches=self.config.prefetch_batches,
-                vectorized=self.config.vectorized_sampling,
-            )
-        else:
-            sampler = NegativeSampler(self.model.num_items, seen_index=seen_index,
-                                      rng=self.rng,
-                                      vectorized=self.config.vectorized_sampling)
-            iterator = BatchIterator(instances, batch_size=self.config.batch_size,
-                                     rng=self.rng)
+        sampler = NegativeSampler(self.model.num_items, seen_index=seen_index,
+                                  rng=self.rng,
+                                  vectorized=self.config.vectorized_sampling)
+        iterator = BatchIterator(instances, batch_size=self.config.batch_size,
+                                 rng=self.rng)
         optimizer = Adam(self.model.parameters(), lr=self.config.learning_rate,
                          weight_decay=self.config.weight_decay)
 
-        try:
-            best_state = self._fit_epochs(result, optimizer, loader, iterator, sampler)
-        finally:
-            if loader is not None:
-                loader.close()
+        best_state = self._fit_epochs(result, optimizer, iterator, sampler)
 
         if best_state is not None:
             self.model.load_state_dict(best_state)
@@ -163,17 +141,14 @@ class Trainer:
         result.train_seconds = time.perf_counter() - start
         return result
 
-    def _fit_epochs(self, result: TrainingResult, optimizer: Adam, loader,
-                    iterator, sampler):
+    def _fit_epochs(self, result: TrainingResult, optimizer: Adam,
+                    iterator: BatchIterator, sampler: NegativeSampler):
         best_state = None
         self.model.train()
         for epoch in range(1, self.config.num_epochs + 1):
             if self.schedule is not None:
                 optimizer.lr = self.schedule(epoch)
-            if loader is not None:
-                batches = loader.epoch(epoch - 1)
-            else:
-                batches = self._sampled_batches(iterator, sampler)
+            batches = self._sampled_batches(iterator, sampler)
             epoch_start = time.perf_counter()
             epoch_loss = self._run_epoch(batches, optimizer)
             result.epoch_seconds.append(time.perf_counter() - epoch_start)
@@ -220,11 +195,7 @@ class Trainer:
             )
 
     def _sampled_batches(self, iterator: BatchIterator, sampler: NegativeSampler):
-        """The in-process batch stream: draw negatives batch by batch.
-
-        This preserves the exact RNG call order of the earlier trainer,
-        so ``loader_workers=0`` runs stay bit-identical to it.
-        """
+        """The batch stream: draw negatives batch by batch."""
         for batch in iterator:
             batch_size, num_targets = batch.targets.shape
             batch.negatives = sampler.sample(
@@ -246,14 +217,10 @@ class Trainer:
             mask = batch.target_mask()
             # Padded targets point at the pad row (zero embedding); they are
             # excluded from the loss by the mask.
-            if self.config.fused_scoring:
-                # One sequence forward + one candidate gather for both
-                # score sets (see SequentialRecommender.score_item_pairs).
-                positive_scores, negative_scores = self.model.score_item_pairs(
-                    batch.users, batch.inputs, batch.targets, negatives)
-            else:
-                positive_scores = self.model.score_items(batch.users, batch.inputs, batch.targets)
-                negative_scores = self.model.score_items(batch.users, batch.inputs, negatives)
+            # One sequence forward + one candidate gather for both score
+            # sets (see SequentialRecommender.score_item_pairs).
+            positive_scores, negative_scores = self.model.score_item_pairs(
+                batch.users, batch.inputs, batch.targets, negatives)
             if self.num_negatives > 1:
                 negative_scores = negative_scores.reshape(
                     batch_size, num_targets, self.num_negatives

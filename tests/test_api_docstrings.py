@@ -3,15 +3,12 @@
 The ``docs/`` tree points readers at the load-bearing classes; this test
 keeps the pointers trustworthy: every name a package exports through
 ``__all__`` must carry a real docstring, and so must the public methods
-of every exported class.  A deprecation shim test rides along: the
-``benchmarks.schema`` module must warn loudly instead of silently
-re-exporting.
+of every exported class.
 """
 
 from __future__ import annotations
 
 import inspect
-import warnings
 
 import pytest
 
@@ -72,14 +69,3 @@ def test_public_methods_of_exported_classes_are_documented(package):
         f"{package.__name__} class members without docstrings: {undocumented}"
     )
 
-
-def test_benchmarks_schema_shim_warns_deprecation():
-    import importlib
-    import benchmarks.schema as shim
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        importlib.reload(shim)
-    assert any(issubclass(entry.category, DeprecationWarning) and
-               "repro.bench_schema" in str(entry.message)
-               for entry in caught), "benchmarks.schema did not warn"

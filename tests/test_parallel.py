@@ -7,8 +7,7 @@ Covers the contracts the substrate is built on:
   included);
 * sharded vs serial bit-equality of ``score_all`` / ``masked_scores`` /
   ``top_k`` (the ``n_workers=2`` smoke of the fast tier);
-* deterministic loader output for a fixed seed regardless of worker
-  count, and the fused BPR forward matching the two-pass step;
+* the fused BPR forward matching two separate ``score_items`` passes;
 * clean shutdown — no leaked ``/dev/shm`` segments, workers joined
   (guarded by the ``shm_guard`` fixture on every test in this module).
 """
@@ -27,11 +26,9 @@ import pytest
 from repro.data.dataset import InteractionDataset
 from repro.data.seen import SeenIndex
 from repro.data.splits import split_setting
-from repro.data.windows import build_training_instances
 from repro.models import create_model
 from repro.models.base import FrozenScorer
 from repro.parallel import (
-    ParallelBatchLoader,
     SharedArena,
     ShardedScoringEngine,
     default_start_method,
@@ -368,89 +365,6 @@ class TestShardedScoringEngine:
 
 
 # ---------------------------------------------------------------------- #
-# Worker-pool data loader
-# ---------------------------------------------------------------------- #
-def _loader_stream(instances, seen, n_workers: int, epochs: int = 2):
-    batches = []
-    with ParallelBatchLoader(instances, NUM_ITEMS, seen, batch_size=16,
-                             num_negatives=2, seed=7, n_workers=n_workers,
-                             prefetch_batches=3) as loader:
-        for epoch in range(epochs):
-            for batch in loader.epoch(epoch):
-                batches.append((batch.users, batch.inputs, batch.targets,
-                                batch.negatives))
-    return batches
-
-
-class TestParallelBatchLoader:
-    @pytest.fixture(scope="class")
-    def workload(self):
-        rng = np.random.default_rng(8)
-        sequences = [rng.integers(0, NUM_ITEMS, size=rng.integers(6, 25)).tolist()
-                     for _ in range(24)]
-        instances = build_training_instances(sequences, num_items=NUM_ITEMS,
-                                             n_h=4, n_p=3)
-        return instances, SeenIndex.from_histories(sequences, NUM_ITEMS)
-
-    def test_deterministic_for_any_worker_count(self, workload):
-        """The satellite contract: the stream is identical for 0/1/2 workers."""
-        instances, seen = workload
-        serial = _loader_stream(instances, seen, n_workers=0)
-        assert serial  # non-empty workload
-        for n_workers in (1, 2):
-            parallel = _loader_stream(instances, seen, n_workers=n_workers)
-            assert len(parallel) == len(serial)
-            for ours, theirs in zip(serial, parallel):
-                for a, b in zip(ours, theirs):
-                    assert np.array_equal(a, b)
-
-    def test_negatives_avoid_seen_items(self, workload):
-        instances, seen = workload
-        for users, _, _, negatives in _loader_stream(instances, seen, 0, epochs=1):
-            flat_users = np.repeat(users, negatives.shape[1])
-            assert not seen.contains(flat_users, negatives.reshape(-1)).any()
-
-    def test_epochs_differ(self, workload):
-        instances, seen = workload
-        stream = _loader_stream(instances, seen, 0, epochs=2)
-        half = len(stream) // 2
-        assert not np.array_equal(stream[0][3], stream[half][3])
-
-    def test_trainer_with_loader_workers(self):
-        split = tiny_split(seed=9)
-        config = TrainingConfig(num_epochs=2, batch_size=32, seed=0,
-                                keep_best=False, loader_workers=2)
-        model = create_model("HAMm", split.num_users, NUM_ITEMS,
-                             rng=np.random.default_rng(0),
-                             embedding_dim=8, n_h=4, n_l=2)
-        result = Trainer(model, config).fit(split.train_plus_valid())
-        assert len(result.epoch_losses) == 2
-        assert all(np.isfinite(loss) for loss in result.epoch_losses)
-
-        # Same seed, same worker count -> bit-identical parameters.
-        rerun = create_model("HAMm", split.num_users, NUM_ITEMS,
-                             rng=np.random.default_rng(0),
-                             embedding_dim=8, n_h=4, n_l=2)
-        rerun_result = Trainer(rerun, config).fit(split.train_plus_valid())
-        assert result.epoch_losses == rerun_result.epoch_losses
-        for (name, ours), (_, theirs) in zip(model.named_parameters(),
-                                             rerun.named_parameters()):
-            assert np.array_equal(ours.data, theirs.data), name
-
-    def test_validation(self, workload):
-        instances, seen = workload
-        with pytest.raises(ValueError):
-            ParallelBatchLoader(instances, NUM_ITEMS, seen, batch_size=0)
-        with pytest.raises(ValueError):
-            ParallelBatchLoader(instances, NUM_ITEMS, seen, batch_size=4,
-                                prefetch_batches=0)
-        loader = ParallelBatchLoader(instances, NUM_ITEMS, seen, batch_size=4)
-        loader.close()
-        with pytest.raises(RuntimeError):
-            next(loader.epoch(0))
-
-
-# ---------------------------------------------------------------------- #
 # Fused BPR forward
 # ---------------------------------------------------------------------- #
 class TestFusedScoring:
@@ -483,21 +397,6 @@ class TestFusedScoring:
                 continue
             assert np.allclose(fused_grads[name], param.grad,
                                rtol=1e-10, atol=1e-12), name
-
-    def test_trainer_fused_matches_two_pass_losses(self):
-        split = tiny_split(seed=10)
-
-        def run(fused: bool):
-            model = create_model("HAMm", split.num_users, NUM_ITEMS,
-                                 rng=np.random.default_rng(0),
-                                 embedding_dim=8, n_h=4, n_l=2)
-            config = TrainingConfig(num_epochs=2, batch_size=32, seed=0,
-                                    keep_best=False, fused_scoring=fused)
-            return Trainer(model, config).fit(split.train_plus_valid())
-
-        fused, two_pass = run(True), run(False)
-        assert np.allclose(fused.epoch_losses, two_pass.epoch_losses,
-                           rtol=1e-6, atol=1e-9)
 
 
 # ---------------------------------------------------------------------- #
@@ -549,37 +448,6 @@ class TestCheckpointServing:
                          dtype=np.int64)
         assert np.array_equal(rebuilt.score_all(users, inputs),
                               model.score_all(users, inputs))
-
-
-# ---------------------------------------------------------------------- #
-# Unified benchmark schema
-# ---------------------------------------------------------------------- #
-class TestBenchSchema:
-    def test_envelope_and_history_append(self, tmp_path):
-        from repro.bench_schema import (
-            read_bench_history,
-            read_bench_report,
-            write_bench_report,
-        )
-
-        path = tmp_path / "BENCH_x.json"
-        write_bench_report(path, "x", {"speedup": 3.0}, headline={"speedup": 3.0})
-        write_bench_report(path, "x", {"speedup": 4.0}, headline={"speedup": 4.0})
-        report = read_bench_report(path)
-        assert report == {"speedup": 4.0}
-        history = read_bench_history(path)
-        assert [row["speedup"] for row in history] == [3.0, 4.0]
-        assert all("generated_at" in row for row in history)
-
-    def test_reads_legacy_flat_files(self, tmp_path):
-        import json
-
-        from repro.bench_schema import read_bench_history, read_bench_report
-
-        path = tmp_path / "BENCH_legacy.json"
-        path.write_text(json.dumps({"speedup": 2.5}), encoding="utf-8")
-        assert read_bench_report(path) == {"speedup": 2.5}
-        assert read_bench_history(path) == []
 
 
 # ---------------------------------------------------------------------- #

@@ -10,9 +10,9 @@ from repro.data.dataset import InteractionDataset
 from repro.data.splits import split_setting
 from repro.data.windows import pad_histories, pad_id_for
 from repro.evaluation.evaluator import RankingEvaluator
+from repro.evaluation.ranking import top_k_items
 from repro.models import HAM, HAMSynergy, Popularity, create_model
 from repro.serving import Recommender, ScoringEngine, explain_ham_score, explain_ham_scores
-from repro.serving.bench import _uncached_recommend, run_serving_benchmark
 from repro.training import Trainer, TrainingConfig
 
 pytestmark = pytest.mark.fast
@@ -28,6 +28,21 @@ def tiny_split(num_users: int = 12, seed: int = 0):
     ]
     dataset = InteractionDataset.from_sequences(sequences, num_items=NUM_ITEMS)
     return split_setting(dataset, "80-3-CUT")
+
+
+def _uncached_recommend(model, histories, users, k):
+    """The seed repo's per-request scoring path: pad, full forward, a
+    Python ``set`` per user as the seen mask, rank.  Independent reference
+    for ``ScoringEngine.top_k``."""
+    pad = pad_id_for(model.num_items)
+    inputs = np.full((len(users), model.input_length), pad, dtype=np.int64)
+    for row, user in enumerate(users):
+        history = histories[user][-model.input_length:]
+        if history:
+            inputs[row, -len(history):] = history
+    scores = model.score_all(np.asarray(users, dtype=np.int64), inputs)
+    excluded = [set(histories[user]) for user in users]
+    return top_k_items(scores, k, excluded=excluded)
 
 
 def trained_model(split, name: str = "HAMs_m", **kwargs):
@@ -338,26 +353,3 @@ class TestExplainEdgeCases:
                     rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             explain_ham_scores(model, 0, [1], [0, NUM_ITEMS])
-
-
-class TestServingBenchmark:
-    def test_report_shape_and_consistency(self):
-        split = tiny_split(seed=13)
-        model = trained_model(split)
-        report = run_serving_benchmark(model, split.train_plus_valid(),
-                                       num_requests=5, users_per_request=2, k=3)
-        assert report.cached.requests == report.uncached.requests == 5
-        assert report.cached.p50_ms > 0 and report.uncached.p50_ms > 0
-        assert report.speedup == pytest.approx(
-            report.uncached.p50_ms / report.cached.p50_ms)
-        as_dict = report.as_dict()
-        assert as_dict["cached"]["p95_ms"] >= as_dict["cached"]["p50_ms"]
-
-    def test_validation(self):
-        split = tiny_split(seed=14)
-        model = trained_model(split)
-        with pytest.raises(ValueError):
-            run_serving_benchmark(model, split.train_plus_valid(), num_requests=0)
-        with pytest.raises(ValueError):
-            run_serving_benchmark(model, split.train_plus_valid(),
-                                  users_per_request=0)
