@@ -51,7 +51,8 @@ bench-e2e-smoke:
 
 # Perf-regression gate: working tree vs REF on bench/, ten alternating
 # pairs per workload (~1 h; scripts/bench_compare.py takes --pairs and
-# --workload for a shorter look).
+# --workload for a shorter look).  CLAIM=workload:metric also checks a
+# claimed gain (CLAIM MET / NOT MET, exit 1 when not met).
 bench-compare:
-	@test -n "$(REF)" || { echo "usage: make bench-compare REF=<sha>"; exit 2; }
-	$(PYTHON) -m scripts.bench_compare $(REF)
+	@test -n "$(REF)" || { echo "usage: make bench-compare REF=<sha> [CLAIM=workload:metric]"; exit 2; }
+	$(PYTHON) -m scripts.bench_compare $(REF) $(if $(CLAIM),--claim $(CLAIM))

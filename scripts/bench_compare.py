@@ -15,13 +15,19 @@ tree was strictly better, and a verdict:
 * ``WORSE`` — the working tree's median is worse than REF's by more
   than the metric's bound;
 * ``unresolved`` — it is not, but a side's own quartile spread exceeds
-  the bound, so "unchanged" cannot be claimed either;
+  the bound, so "unchanged" cannot be claimed either (unless every run
+  of the working tree read better than every run of REF);
 * ``ok`` — within the bound, and the spread is small enough to say so.
 
 A workload whose share of failed operations grew is reported as
-``MORE FAILURES``.  Exit status 1 on any ``WORSE`` / ``MORE FAILURES``,
-else 0.  Standard library only; one full comparison (six workloads, ten
-pairs) takes about an hour.
+``MORE FAILURES``.  ``--claim WORKLOAD:METRIC`` (``make bench-compare
+REF=<sha> CLAIM=...``) additionally checks a claimed gain and prints
+``CLAIM MET`` / ``CLAIM NOT MET`` with every pair's two values: the
+working tree must win at least nine tenths of the pairs run, ties
+counting for neither side, and the medians must differ by more than the
+distance between REF's own quartiles.  Exit status 1 on any ``WORSE`` /
+``MORE FAILURES`` / ``CLAIM NOT MET``, else 0.  Standard library only;
+one full comparison (six workloads, ten pairs) takes about an hour.
 """
 
 from __future__ import annotations
@@ -77,9 +83,10 @@ def judge(ref: list[float], change: list[float], better: str, bound: float) -> d
     scale = abs(ref_median) or 1.0
     worse_by = sign * (change_median - ref_median) / scale + 0.0  # no "-0.0%"
     spread = max(ref_q3 - ref_q1, change_q3 - change_q1) / scale
+    all_better = max(sign * c for c in change) < min(sign * r for r in ref)
     if worse_by > bound:
         verdict = "WORSE"
-    elif spread > bound:
+    elif spread > bound and not all_better:
         verdict = "unresolved"
     else:
         verdict = "ok"
@@ -93,6 +100,20 @@ def judge(ref: list[float], change: list[float], better: str, bound: float) -> d
     }
 
 
+def claim_met(row: dict, better: str, pairs_run: int) -> bool:
+    """Whether a :func:`judge` row supports claiming a gain.
+
+    The change must win at least nine tenths of all ``pairs_run`` (a tie
+    or a pair with a failed run is a win for neither side) and its
+    median must beat REF's by more than the distance between REF's own
+    quartiles.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    ref_q1, ref_median, ref_q3 = row["ref"]
+    gain = sign * (ref_median - row["change"][1])
+    return 10 * row["wins"] >= 9 * pairs_run and gain > ref_q3 - ref_q1
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the comparison and print the report."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -103,9 +124,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", nargs="+", choices=names, default=names)
     parser.add_argument("--seed", type=int, default=1,
                         help="pair i runs both sides on seed + i")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                        help="also check that the working tree improved this "
+                             "end-to-end metric on this workload")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
+    claim = tuple(args.claim.split(":")) if args.claim else None
+    if claim is not None and (
+            len(claim) != 2 or claim[0] not in args.workload
+            or claim[1] not in [entry["name"] for entry in spec["end_to_end"]]):
+        parser.error("--claim takes WORKLOAD:METRIC, a workload being run "
+                     "and an end-to-end metric of BENCHMARK.json")
 
     # results[workload][side] is one parsed JSON line per pair.
     results = {name: {"ref": [], "change": []} for name in args.workload}
@@ -123,6 +153,8 @@ def main(argv: list[str] | None = None) -> int:
                       file=sys.stderr, flush=True)
 
     regressed = False
+    claimed = False
+    claim_line = f"CLAIM NOT MET: no pair produced {args.claim}"
     print(f"{'workload':<20}{'metric':<18}{'ref q1/median/q3':<36}"
           f"{'change q1/median/q3':<36}{'wins':<7}{'worse by':<10}verdict")
     for name in args.workload:
@@ -138,6 +170,14 @@ def main(argv: list[str] | None = None) -> int:
             row = judge([r for r, _ in both], [c for _, c in both],
                         entry["better"], entry["bound"])
             regressed |= row["verdict"] == "WORSE"
+            if claim == (name, metric):
+                claimed = claim_met(row, entry["better"], args.pairs)
+                claim_line = (
+                    f"CLAIM {'MET' if claimed else 'NOT MET'}: {name} {metric} won "
+                    f"{row['wins']}/{args.pairs} pairs (need 9 in 10), median "
+                    f"{row['ref'][1]:.4g} -> {row['change'][1]:.4g} against a REF "
+                    f"q3-q1 of {row['ref'][2] - row['ref'][0]:.4g}; pairs ref/change: "
+                    + ", ".join(f"{r:.4g}/{c:.4g}" for r, c in both))
             print(f"{name:<20}{metric:<18}"
                   f"{'{:.4g} / {:.4g} / {:.4g}'.format(*row['ref']):<36}"
                   f"{'{:.4g} / {:.4g} / {:.4g}'.format(*row['change']):<36}"
@@ -150,6 +190,9 @@ def main(argv: list[str] | None = None) -> int:
         regressed |= more_failures
         print(f"{name:<20}{'failed_share':<18}{shares[0]:<36.4g}{shares[1]:<36.4g}"
               f"{'':<7}{'':<10}{'MORE FAILURES' if more_failures else 'ok'}")
+    if claim is not None:
+        print(claim_line)
+        regressed |= not claimed
     return 1 if regressed else 0
 
 

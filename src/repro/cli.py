@@ -8,7 +8,7 @@ Usage examples::
     repro-ham train --dataset cds --method HAMs_m --setting 80-20-CUT
     repro-ham serve --dataset cds --users 0 1 2 --k 10
     repro-ham serve --checkpoint model.npz --workers 4 --users 0 1 2
-    repro-ham serve --dataset cds --gateway --max-batch 32 --max-wait-ms 2 \
+    repro-ham serve --dataset cds --gateway --max-batch 32 \
               --cache-size 256 --cache-ttl 30 --users 0 1 2
     repro-ham serve --dataset cds --workers 4 --request-timeout 5 \
               --gateway --max-queue 256 --users 0 1 2
@@ -91,12 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "coalesced into engine micro-batches and hot "
                             "users are answered from the score-row cache")
     serve.add_argument("--max-batch", type=int, default=32,
-                       help="gateway flush threshold: flush as soon as this "
-                            "many requests are queued")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="gateway flush deadline: maximum milliseconds the "
-                            "oldest queued request waits before its batch is "
-                            "flushed regardless of size")
+                       help="gateway batch cap: most requests one engine "
+                            "call takes (the flusher serves whatever is "
+                            "queued the moment the engine is free)")
     serve.add_argument("--cache-size", type=int, default=256,
                        help="gateway score-row cache capacity (rows; 0 "
                             "disables caching)")
@@ -316,8 +313,8 @@ def _command_serve(dataset: str, method: str, setting: str, scale: str | None,
                    epochs: int | None, seed: int, users: list[int], k: int,
                    explain: bool = False, checkpoint: str | None = None,
                    workers: int = 0, gateway: bool = False,
-                   max_batch: int = 32, max_wait_ms: float = 2.0,
-                   cache_size: int = 256, cache_ttl: float | None = None,
+                   max_batch: int = 32, cache_size: int = 256,
+                   cache_ttl: float | None = None,
                    request_timeout: float | None = None,
                    max_queue: int | None = None,
                    retrieval: str = "exact", n_probe: int | None = None,
@@ -371,7 +368,6 @@ def _command_serve(dataset: str, method: str, setting: str, scale: str | None,
         engine_name = f"ServingGateway[{engine_name}]"
         try:
             front = ServingGateway(engine, max_batch=max_batch,
-                                   max_wait_ms=max_wait_ms,
                                    cache_size=cache_size,
                                    cache_ttl_s=cache_ttl,
                                    max_queue=max_queue,
@@ -394,8 +390,8 @@ def _command_serve(dataset: str, method: str, setting: str, scale: str | None,
         )
         print(f"gateway: {stats.requests} requests in {stats.batches} "
               f"micro-batches (max {stats.max_batch_observed}, "
-              f"{stats.flush_full} full / {stats.flush_deadline} deadline "
-              f"flushes, {stats.shed} shed / {stats.expired} expired"
+              f"{stats.flush_full} cut at max_batch, "
+              f"{stats.shed} shed / {stats.expired} expired"
               f"{cache_line})")
         unhealthy = _print_health_line(health.get("engine"))
     else:
@@ -557,7 +553,6 @@ def main(argv: list[str] | None = None) -> int:
                               users=args.users, k=args.k, explain=args.explain,
                               checkpoint=args.checkpoint, workers=args.workers,
                               gateway=args.gateway, max_batch=args.max_batch,
-                              max_wait_ms=args.max_wait_ms,
                               cache_size=args.cache_size,
                               cache_ttl=args.cache_ttl,
                               request_timeout=args.request_timeout,

@@ -19,8 +19,9 @@ on top of a trained model:
   decompositions of HAM's linear score (Eq. 7/8).
 * :class:`~repro.serving.gateway.ServingGateway` — the online request
   front-end: coalesces concurrent single-user requests into engine
-  micro-batches (bounded queue, ``max_batch``/``max_wait_ms`` flush
-  policy) and layers a hot-user
+  micro-batches (bounded queue, work-conserving flush: whatever is
+  queued, up to ``max_batch``, is served the moment the engine is
+  free) and layers a hot-user
   :class:`~repro.serving.cache.ScoreRowCache` (LRU + TTL) over the
   engine's representation cache; results stay bit-identical to direct
   engine calls (``repro-ham serve --gateway``).  Admission control

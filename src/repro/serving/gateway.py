@@ -6,12 +6,13 @@ as *single-user* requests.  The :class:`ServingGateway` is the front-end
 that reconciles the two: callers submit requests from any thread and get
 a :class:`GatewayFuture` back immediately; a background flusher thread
 coalesces whatever is queued into one engine batch and resolves all the
-futures at once.  A batch is flushed as soon as either
-
-* ``max_batch`` requests are waiting (**flush-on-full**), or
-* the oldest queued request has waited ``max_wait_ms`` milliseconds
-  (**flush-on-deadline**) — the knob that trades p95 latency against
-  batching efficiency (see ``docs/serving.md``).
+futures at once.  The flusher is **work-conserving**: whenever it is
+free and the queue is non-empty it pops up to ``max_batch`` requests
+and calls the engine at once — no request ever waits on a timer.
+Requests coalesce only while a call (or an ``observe``) holds the
+engine, so batch size tracks load by itself: a lone request on an idle
+gateway is a batch of one at service-time latency, and under load
+batches grow to ``max_batch`` (see ``docs/serving.md``).
 
 Layered over the engine's per-user *representation* cache, the gateway
 keeps a :class:`~repro.serving.cache.ScoreRowCache` of finished *score
@@ -70,11 +71,10 @@ __all__ = ["GatewayFuture", "GatewayStats", "ServingGateway",
 #: ``retry_after_s`` hint of :class:`GatewayOverloadedError`.
 _EWMA_ALPHA = 0.2
 
-#: Cold-start floor of the ``retry_after_s`` hint: before the first
-#: batch completes there is no observed service time, and a gateway
-#: configured with ``max_wait_ms=0`` would otherwise hint ~0 seconds —
-#: telling shed clients to hammer it during the thundering-herd moment
-#: it is least able to absorb.
+#: Stand-in batch service time behind the ``retry_after_s`` hint until
+#: the first batch completes and seeds the EWMA: without it a cold
+#: gateway would hint ~0 seconds — telling shed clients to hammer it
+#: during the thundering-herd moment it is least able to absorb.
 _COLD_START_RETRY_S = 0.05
 
 
@@ -148,9 +148,14 @@ class GatewayFuture:
 class GatewayStats:
     """Operational counters of one :class:`ServingGateway`.
 
-    ``flush_full`` / ``flush_deadline`` / ``flush_drain`` partition the
-    batches by what triggered them (queue reached ``max_batch``, the
-    oldest request hit ``max_wait_ms``, or the close-time drain).
+    ``batches`` counts every engine batch.  ``flush_full`` counts those
+    cut at ``max_batch`` (at least one call's worth was queued — the
+    gateway is loaded) and ``flush_drain`` those flushed by the
+    close-time drain; every other batch is whatever was queued when the
+    flusher came free.  ``flush_deadline`` is always 0: there is no
+    flush timer any more, and the field survives only because the
+    frozen ``bench/serve.py`` reads it — the next ``benchmark`` PR
+    retires it together with ``gateway.flush_deadline_share``.
     ``shed`` counts submissions refused with
     :class:`GatewayOverloadedError` at the ``max_queue`` watermark, and
     ``expired`` counts requests failed by their own deadline (while
@@ -162,13 +167,13 @@ class GatewayStats:
     requests: int
     batches: int
     flush_full: int
-    flush_deadline: int
     flush_drain: int
     max_batch_observed: int
     mean_batch_size: float
     shed: int = 0
     expired: int = 0
     cache: CacheStats | None = None
+    flush_deadline: int = 0  # always 0; read by the frozen bench/serve.py
 
     def as_dict(self) -> dict:
         """Plain-dict form with the cache stats inlined."""
@@ -176,7 +181,6 @@ class GatewayStats:
             "requests": self.requests,
             "batches": self.batches,
             "flush_full": self.flush_full,
-            "flush_deadline": self.flush_deadline,
             "flush_drain": self.flush_drain,
             "max_batch_observed": self.max_batch_observed,
             "mean_batch_size": self.mean_batch_size,
@@ -190,7 +194,7 @@ class GatewayStats:
 
 @dataclass
 class _Request:
-    """One queued request plus its arrival stamp, deadline and future.
+    """One queued request plus its deadline and future.
 
     ``deadline`` is a monotonic-clock instant (``None`` = no deadline):
     the flusher fails the request with ``TimeoutError`` once it passes,
@@ -200,7 +204,6 @@ class _Request:
     user: int
     k: int
     masked: bool
-    arrived: float
     deadline: float | None = None
     future: GatewayFuture = field(default_factory=GatewayFuture)
 
@@ -217,14 +220,10 @@ class ServingGateway:
         gateway serializes every engine call behind one lock, so the
         engine needs no thread-safety of its own.
     max_batch:
-        Flush as soon as this many requests are queued.  Larger batches
-        amortize more per-call overhead; ``max_wait_ms`` bounds how long
-        a lone request waits for company.
-    max_wait_ms:
-        Maximum milliseconds the *oldest* queued request may wait before
-        its batch is flushed regardless of size — the direct p95-latency
-        knob.  ``0`` flushes every poll (micro-batches still form under
-        concurrent bursts).
+        Most requests one engine call takes.  The flusher never waits
+        for a batch to fill: it serves whatever is queued the moment it
+        is free, so this only caps how much a backlog amortizes per
+        call.
     cache_size:
         Capacity of the hot-user score-row cache; ``0`` disables
         caching entirely.
@@ -262,8 +261,8 @@ class ServingGateway:
     close time are drained, not dropped.
     """
 
-    def __init__(self, engine, max_batch: int = 32, max_wait_ms: float = 2.0,
-                 cache_size: int = 256, cache_ttl_s: float | None = None,
+    def __init__(self, engine, max_batch: int = 32, cache_size: int = 256,
+                 cache_ttl_s: float | None = None,
                  max_queue: int | None = None,
                  request_timeout_s: float | None = None,
                  retrieval_mode: str = "exact",
@@ -272,8 +271,6 @@ class ServingGateway:
                  own_engine: bool = False):
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         if cache_size < 0:
             raise ValueError("cache_size must be non-negative (0 disables)")
         if cache_ttl_s is not None and cache_ttl_s <= 0:
@@ -291,7 +288,6 @@ class ServingGateway:
                                      else int(candidate_multiplier))
         self.engine = engine
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_ms) / 1e3
         self.max_queue = None if max_queue is None else int(max_queue)
         self.request_timeout_s = request_timeout_s
         self.cache = (ScoreRowCache(cache_size, ttl_s=cache_ttl_s)
@@ -314,7 +310,6 @@ class ServingGateway:
         self._requests = 0
         self._batches = 0
         self._flush_full = 0
-        self._flush_deadline = 0
         self._flush_drain = 0
         self._batched_requests = 0
         self._max_batch_observed = 0
@@ -381,10 +376,9 @@ class ServingGateway:
             raise ValueError("timeout must be positive (or None)")
         masked = bool(self.engine.exclude_seen if exclude_seen is None
                       else exclude_seen)
-        now = time.monotonic()
         request = _Request(user=int(user), k=int(k), masked=masked,
-                           arrived=now,
-                           deadline=None if timeout is None else now + timeout)
+                           deadline=(None if timeout is None
+                                     else time.monotonic() + timeout))
         with self._lock:
             if self._closed:
                 raise RuntimeError("gateway is closed")
@@ -393,24 +387,22 @@ class ServingGateway:
                 raise GatewayOverloadedError(self._retry_after_locked())
             self._queue.append(request)
             self._requests += 1
-            self._queued.notify_all()
+            self._queued.notify()  # one waiter: the flusher
         return request.future
 
     def _retry_after_locked(self) -> float:
         """Retry hint for a shed request (callers hold ``self._lock``).
 
         Batches needed to drain the backlog times the observed batch
-        service time (EWMA), floored at the flush wait — a rough "when
-        does capacity free up", not a guarantee.
+        service time (EWMA; ``_COLD_START_RETRY_S`` until the first
+        batch completes), never under 1 ms — a rough "when does
+        capacity free up", not a guarantee.
         """
         service = self._service_ewma_s
         if service is None:
-            # No batch has completed yet (cold start): seed the estimate
-            # from the configured flush wait, floored so the hint stays
-            # usable even with max_wait_ms=0.
-            service = max(self.max_wait_s, _COLD_START_RETRY_S)
+            service = _COLD_START_RETRY_S
         backlog_batches = max(1, -(-len(self._queue) // self.max_batch))
-        return max(service * backlog_batches, self.max_wait_s, 1e-3)
+        return max(service * backlog_batches, 1e-3)
 
     def top_k(self, user: int, k: int = 10,
               exclude_seen: bool | None = None,
@@ -470,7 +462,6 @@ class ServingGateway:
                 requests=self._requests,
                 batches=batches,
                 flush_full=self._flush_full,
-                flush_deadline=self._flush_deadline,
                 flush_drain=self._flush_drain,
                 max_batch_observed=self._max_batch_observed,
                 mean_batch_size=mean,
@@ -505,22 +496,9 @@ class ServingGateway:
     # ------------------------------------------------------------------ #
     def _run(self) -> None:
         while True:
-            batch, reason = self._next_batch()
+            batch = self._next_batch()
             if batch is None:
                 return
-            # Count the batch *before* resolving its futures: a caller
-            # unblocked by result() may read stats() immediately and
-            # must see the batch that served it.
-            with self._lock:
-                self._batches += 1
-                self._batched_requests += len(batch)
-                self._max_batch_observed = max(self._max_batch_observed, len(batch))
-                if reason == "full":
-                    self._flush_full += 1
-                elif reason == "deadline":
-                    self._flush_deadline += 1
-                else:
-                    self._flush_drain += 1
             self._execute(batch)
 
     def _expire_queued_locked(self) -> None:
@@ -539,42 +517,34 @@ class ServingGateway:
                 keep.append(request)
         self._queue = keep
 
-    def _next_batch(self) -> tuple[list[_Request] | None, str]:
-        """Block until a batch is due; ``(None, ...)`` means shut down."""
+    def _next_batch(self) -> list[_Request] | None:
+        """Block until anything is queued; ``None`` means shut down.
+
+        Work-conserving: the flusher only gets here once the engine call
+        before has returned, so whatever queued up behind that call is
+        served now, up to ``max_batch`` — there is no wait for company.
+        """
         with self._lock:
             while True:
                 self._expire_queued_locked()
                 if self._queue:
-                    if self._closed:
-                        reason = "drain"
-                        break
-                    if len(self._queue) >= self.max_batch:
-                        reason = "full"
-                        break
-                    # The flush deadline is anchored at the *arrival* of
-                    # the oldest request, so time a request spent queued
-                    # behind a running batch counts against it — and it
-                    # never waits past the earliest per-request deadline
-                    # in the queue, so expiries surface promptly.
-                    flush_at = self._queue[0].arrived + self.max_wait_s
-                    next_deadline = min(
-                        (request.deadline for request in self._queue
-                         if request.deadline is not None),
-                        default=None)
-                    if next_deadline is not None:
-                        flush_at = min(flush_at, next_deadline)
-                    remaining = flush_at - time.monotonic()
-                    if remaining <= 0:
-                        reason = "deadline"
-                        break
-                    self._queued.wait(timeout=remaining)
-                elif self._closed:
-                    return None, "shutdown"
-                else:
-                    self._queued.wait()
+                    break
+                if self._closed:
+                    return None
+                self._queued.wait()
+            if self._closed:
+                self._flush_drain += 1
+            elif len(self._queue) >= self.max_batch:
+                self._flush_full += 1
             batch = [self._queue.popleft()
                      for _ in range(min(len(self._queue), self.max_batch))]
-        return batch, reason
+            # Counted before any future resolves: a caller unblocked by
+            # result() may read stats() immediately and must see the
+            # batch that served it.
+            self._batches += 1
+            self._batched_requests += len(batch)
+            self._max_batch_observed = max(self._max_batch_observed, len(batch))
+        return batch
 
     def _execute(self, batch: list[_Request]) -> None:
         started = time.monotonic()
@@ -728,7 +698,7 @@ class ServingGateway:
             if self._closed:
                 return
             self._closed = True
-            self._queued.notify_all()
+            self._queued.notify()
         self._thread.join(timeout=timeout)
         if self._thread.is_alive():
             raise RuntimeError(

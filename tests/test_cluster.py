@@ -54,6 +54,8 @@ from repro.parallel.faults import fault_rng
 from repro.parallel.shm import SHM_PREFIX, SharedArena
 from repro.serving import ScoringEngine, ServingGateway
 
+from test_gateway import GateEngine, submit_and_hold
+
 pytestmark = pytest.mark.chaos_net
 
 NUM_USERS = 12
@@ -574,13 +576,19 @@ def test_gateway_over_cluster_batches_unchanged(tmp_path):
     try:
         with ServingGateway.over_cluster(
                 [node.address for node in nodes],
-                heartbeat_interval_s=0.0, max_batch=8, max_wait_ms=5.0,
+                heartbeat_interval_s=0.0, max_batch=8,
                 cache_size=0) as gateway:
-            futures = [gateway.submit(int(user), 4) for user in ALL_USERS]
+            # Gate the router the gateway built, to see its batches.
+            gate = gateway.engine = GateEngine(gateway.engine)
+            futures = [submit_and_hold(gateway, gate, 0, 4)]
+            futures += [gateway.submit(int(user), 4) for user in ALL_USERS[1:]]
+            gate.release()
             rows = [future.result(timeout=60.0) for future in futures]
             stats = gateway.stats()
         assert np.array_equal(np.stack(rows), expected)
-        assert stats.batches >= 1
+        # Requests coalesce behind a router call as behind a local one.
+        assert gate.calls == [[0], list(range(1, 9)), [9, 10, 11]]
+        assert (stats.batches, stats.flush_full) == (3, 1)
     finally:
         for node in nodes:
             node.close()

@@ -1,14 +1,16 @@
 """Tests for the online serving gateway and its score-row cache.
 
-Covers the satellite checklist of the gateway PR: TTL expiry (with an
-injected fake clock), LRU eviction order, invalidation on ``observe()``,
-flush-on-deadline vs flush-on-full, and the tentpole contract — gateway
-micro-batched results bit-identical to direct ``ScoringEngine`` calls.
+Covers TTL expiry (with an injected fake clock), LRU eviction order,
+invalidation on ``observe()``, the work-conserving flush policy (driven
+through :class:`GateEngine`, no wall clock) and the tentpole contract —
+gateway micro-batched results bit-identical to direct ``ScoringEngine``
+calls.
 """
 
 from __future__ import annotations
 
-import time
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -43,6 +45,72 @@ def build_engine(**kwargs):
     histories = synthetic_training_histories(NUM_USERS, NUM_ITEMS, 12, seed=0)
     return ScoringEngine(model, histories, exclude_seen=True, precompute=True,
                          **kwargs)
+
+
+class GateEngine:
+    """A real engine whose scoring calls can be held at a gate.
+
+    After :meth:`hold`, the next ``masked_scores`` / ``score_all`` call
+    blocks inside the engine — and the gateway's flusher with it — until
+    :meth:`release`; :meth:`wait_entered` returns once that call has
+    arrived (see :func:`submit_and_hold`).  ``calls`` records every
+    scoring call's user list in order, so a test reads off exactly which
+    batches the gateway cut.  Shared with ``test_resilience.py`` and
+    ``test_cluster.py``.
+    """
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls: list[list[int]] = []
+        self._entered = threading.Event()
+        self._open = threading.Event()
+        self._open.set()
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def hold(self) -> None:
+        self._entered.clear()
+        self._open.clear()
+
+    def release(self) -> None:
+        self._open.set()
+
+    def wait_entered(self) -> None:
+        assert self._entered.wait(30.0), "no scoring call reached the gate"
+
+    def _pass_gate(self, users) -> None:
+        self.calls.append([int(user) for user in users])
+        self._entered.set()
+        assert self._open.wait(30.0), "gate was never released"
+
+    def masked_scores(self, users, **kwargs):
+        self._pass_gate(users)
+        return self._inner.masked_scores(users, **kwargs)
+
+    def score_all(self, users, **kwargs):
+        self._pass_gate(users)
+        return self._inner.score_all(users, **kwargs)
+
+
+def submit_and_hold(gateway, engine: GateEngine, user: int, k: int = 3):
+    """Submit one request to an idle gateway and hold its engine call.
+
+    On return the flusher is inside the engine with ``[user]`` and the
+    queue is empty again: whatever is submitted next queues up behind
+    that call until ``engine.release()``.
+    """
+    engine.hold()
+    future = gateway.submit(user, k)
+    engine.wait_entered()
+    return future
+
+
+def flush_counters(gateway) -> tuple[int, int, int, int]:
+    """``(batches, flush_full, flush_drain, flush_deadline)`` right now."""
+    stats = gateway.stats()
+    return (stats.batches, stats.flush_full, stats.flush_drain,
+            stats.flush_deadline)
 
 
 # ---------------------------------------------------------------------- #
@@ -148,7 +216,7 @@ def test_gateway_results_bit_identical_to_engine():
     engine = build_engine()
     users = np.arange(NUM_USERS, dtype=np.int64)
     direct = engine.top_k(users, 7)
-    with ServingGateway(engine, max_batch=6, max_wait_ms=5.0,
+    with ServingGateway(engine, max_batch=6,
                         cache_size=NUM_USERS) as gateway:
         futures = [gateway.submit(int(user), 7) for user in users]
         batched = np.stack([future.result(timeout=30.0) for future in futures])
@@ -163,7 +231,7 @@ def test_gateway_results_bit_identical_to_engine():
 
 def test_gateway_unmasked_and_mixed_k_requests_match_engine():
     engine = build_engine()
-    with ServingGateway(engine, max_batch=8, max_wait_ms=5.0,
+    with ServingGateway(engine, max_batch=8,
                         cache_size=8) as gateway:
         masked = gateway.submit(1, 5)
         raw = gateway.submit(1, 5, exclude_seen=False)
@@ -182,68 +250,103 @@ def test_gateway_unmasked_and_mixed_k_requests_match_engine():
 def test_gateway_recommend_matches_engine_recommendations():
     engine = build_engine()
     direct = engine.recommend(5, k=6)
-    with ServingGateway(engine, max_batch=4, max_wait_ms=5.0) as gateway:
+    with ServingGateway(engine, max_batch=4) as gateway:
         via_gateway = gateway.recommend(5, k=6)
     assert via_gateway == direct
 
 
-def test_gateway_flush_on_full_does_not_wait_for_deadline():
-    engine = build_engine()
-    # The deadline is far away; only the size trigger can flush quickly.
-    with ServingGateway(engine, max_batch=4, max_wait_ms=60_000.0,
-                        cache_size=0) as gateway:
-        start = time.monotonic()
-        futures = [gateway.submit(user, 3) for user in range(4)]
-        for future in futures:
+def test_gateway_idle_request_is_served_at_once_as_a_batch_of_one():
+    engine = GateEngine(build_engine())
+    with ServingGateway(engine, max_batch=64, cache_size=0) as gateway:
+        # Nothing else is coming and nothing times out: the only way
+        # this resolves is the flusher taking the lone request as is.
+        ranked = gateway.submit(5, 3).result(timeout=30.0)
+        assert engine.calls == [[5]]
+        assert flush_counters(gateway) == (1, 0, 0, 0)
+        assert gateway.stats().max_batch_observed == 1
+    np.testing.assert_array_equal(ranked, engine.top_k(np.asarray([5]), 3)[0])
+
+
+def test_gateway_coalesces_behind_a_held_call_fifo_up_to_max_batch():
+    engine = GateEngine(build_engine())
+    with ServingGateway(engine, max_batch=4, cache_size=0) as gateway:
+        first = submit_and_hold(gateway, engine, 0)
+        queued = [gateway.submit(user, 3) for user in range(1, 10)]
+        assert gateway.health()["queue_depth"] == 9
+        engine.release()
+        for future in [first, *queued]:
             future.result(timeout=30.0)
-        elapsed = time.monotonic() - start
-        stats = gateway.stats()
-    assert elapsed < 10.0, "full batch waited for the deadline"
-    assert stats.flush_full == 1
-    assert stats.flush_deadline == 0
-    assert stats.max_batch_observed == 4
-
-
-def test_gateway_flush_on_deadline_serves_partial_batch():
-    engine = build_engine()
-    # Far fewer requests than max_batch: only the deadline can flush.
-    with ServingGateway(engine, max_batch=64, max_wait_ms=30.0,
-                        cache_size=0) as gateway:
-        start = time.monotonic()
-        futures = [gateway.submit(user, 3) for user in range(2)]
-        rows = [future.result(timeout=30.0) for future in futures]
-        elapsed = time.monotonic() - start
-        stats = gateway.stats()
-    assert len(rows) == 2
-    assert elapsed >= 0.025, "partial batch flushed before its deadline"
-    assert stats.flush_deadline >= 1
-    assert stats.flush_full == 0
+        # Nine requests queued behind the call: two batches cut at
+        # max_batch, then the remainder — in submission order.
+        assert engine.calls == [[0], [1, 2, 3, 4], [5, 6, 7, 8], [9]]
+        assert flush_counters(gateway) == (4, 2, 0, 0)
+        assert gateway.stats().max_batch_observed == 4
 
 
 def test_gateway_close_drains_pending_requests():
-    engine = build_engine()
-    gateway = ServingGateway(engine, max_batch=64, max_wait_ms=60_000.0,
-                             cache_size=0)
-    futures = [gateway.submit(user, 3) for user in range(3)]
-    gateway.close()  # must resolve the queued requests, not strand them
-    for future in futures:
-        assert future.result(timeout=1.0).shape == (3,)
-    assert gateway.stats().flush_drain >= 1
-    with pytest.raises(RuntimeError):
+    engine = GateEngine(build_engine())
+    gateway = ServingGateway(engine, max_batch=2, cache_size=0)
+    first = submit_and_hold(gateway, engine, 0)
+    queued = [gateway.submit(user, 3) for user in range(1, 4)]
+    with pytest.raises(RuntimeError, match="did not drain"):
+        gateway.close(timeout=0.01)  # the flusher is held at the gate
+    with pytest.raises(RuntimeError, match="closed"):
         gateway.submit(0, 3)
+    engine.release()
+    # The queued requests were resolved by the drain, not stranded.
+    for future in [first, *queued]:
+        assert future.result(timeout=30.0).shape == (3,)
+    assert engine.calls == [[0], [1, 2], [3]]
+    assert flush_counters(gateway) == (3, 0, 2, 0)
+
+
+def test_gateway_concurrent_submitters_lose_no_request():
+    """More submitter threads than cores, a shortened switch interval:
+    a lost wake-up strands a future, a lost update breaks the counts."""
+    engine = build_engine()
+    expected = engine.top_k(np.arange(NUM_USERS, dtype=np.int64), 5)
+    submitters, per_thread = 8, 150
+    mismatches: list[tuple[int, int]] = []
+
+    def submit_and_check(offset: int, gateway) -> None:
+        for step in range(per_thread):
+            user = (offset + step) % NUM_USERS
+            ranked = gateway.submit(user, 5).result(timeout=30.0)
+            if not np.array_equal(ranked, expected[user]):
+                mismatches.append((offset, step))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ServingGateway(engine, max_batch=4, cache_size=8) as gateway:
+            threads = [threading.Thread(target=submit_and_check,
+                                        args=(offset, gateway))
+                       for offset in range(submitters)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+            assert not any(thread.is_alive() for thread in threads)
+            stats = gateway.stats()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not mismatches
+    assert stats.requests == submitters * per_thread
+    # Every request left in exactly one batch, none larger than the cap.
+    assert round(stats.mean_batch_size * stats.batches) == stats.requests
+    assert 1 <= stats.max_batch_observed <= 4
+    assert stats.flush_deadline == 0 and stats.expired == 0
 
 
 def test_gateway_validates_requests_at_submit():
     engine = build_engine()
-    with ServingGateway(engine, max_batch=4, max_wait_ms=1.0) as gateway:
+    with ServingGateway(engine, max_batch=4) as gateway:
         with pytest.raises(ValueError):
             gateway.submit(NUM_USERS, 3)
         with pytest.raises(ValueError):
             gateway.submit(0, 0)
     with pytest.raises(ValueError):
         ServingGateway(engine, max_batch=0)
-    with pytest.raises(ValueError):
-        ServingGateway(engine, max_wait_ms=-1.0)
     with pytest.raises(ValueError):
         ServingGateway(engine, cache_ttl_s=0.0)
 
@@ -253,7 +356,7 @@ def test_gateway_validates_requests_at_submit():
 # ---------------------------------------------------------------------- #
 def test_gateway_observe_invalidates_only_that_users_rows():
     engine = build_engine()
-    with ServingGateway(engine, max_batch=4, max_wait_ms=5.0,
+    with ServingGateway(engine, max_batch=4,
                         cache_size=32) as gateway:
         before_3 = gateway.top_k(3, 5)
         gateway.top_k(7, 5)
@@ -280,7 +383,7 @@ def test_gateway_refresh_clears_cache_on_serial_engines_only():
     from repro.parallel import ShardedScoringEngine
 
     engine = build_engine()
-    with ServingGateway(engine, max_batch=4, max_wait_ms=5.0,
+    with ServingGateway(engine, max_batch=4,
                         cache_size=8) as gateway:
         gateway.top_k(0, 5)
         assert gateway.stats().cache.size == 1
@@ -292,7 +395,7 @@ def test_gateway_refresh_clears_cache_on_serial_engines_only():
                                     for user in range(NUM_USERS)],
                                    n_workers=1)
     try:
-        with ServingGateway(sharded, max_batch=4, max_wait_ms=5.0) as gateway:
+        with ServingGateway(sharded, max_batch=4) as gateway:
             with pytest.raises(NotImplementedError):
                 gateway.refresh()
     finally:
@@ -301,7 +404,7 @@ def test_gateway_refresh_clears_cache_on_serial_engines_only():
 
 def test_gateway_ttl_expiry_forces_rescore():
     engine = build_engine()
-    with ServingGateway(engine, max_batch=4, max_wait_ms=5.0,
+    with ServingGateway(engine, max_batch=4,
                         cache_size=8, cache_ttl_s=60.0) as gateway:
         clock = FakeClock()
         gateway.cache._clock = clock  # rewire to the deterministic clock

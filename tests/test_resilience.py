@@ -44,6 +44,8 @@ from repro.parallel import (
 from repro.parallel.shm import SHM_PREFIX
 from repro.serving import GatewayOverloadedError, ScoringEngine, ServingGateway
 
+from test_gateway import GateEngine, submit_and_hold
+
 pytestmark = pytest.mark.chaos
 
 NUM_USERS = 12
@@ -361,87 +363,91 @@ def test_inflight_observe_aborts_at_most_once():
 # ---------------------------------------------------------------------- #
 # Gateway admission control
 # ---------------------------------------------------------------------- #
-class _SlowEngine:
-    """Serial engine whose scoring sleeps — backs up the gateway queue."""
-
-    def __init__(self, inner: ScoringEngine, delay_s: float):
-        self._inner = inner
-        self._delay_s = delay_s
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def masked_scores(self, users, **kwargs):
-        time.sleep(self._delay_s)
-        return self._inner.masked_scores(users)
-
-    def score_all(self, users, **kwargs):
-        time.sleep(self._delay_s)
-        return self._inner.score_all(users)
+def _gated_engine(model, histories) -> GateEngine:
+    return GateEngine(ScoringEngine(model, _copies(histories),
+                                    exclude_seen=True))
 
 
 def test_gateway_sheds_load_at_high_watermark():
-    model, histories = _workload()
-    engine = _SlowEngine(ScoringEngine(model, _copies(histories),
-                                       exclude_seen=True), delay_s=0.25)
-    with ServingGateway(engine, max_batch=1, max_wait_ms=1.0, cache_size=0,
+    engine = _gated_engine(*_workload())
+    with ServingGateway(engine, max_batch=1, cache_size=0,
                         max_queue=2) as gateway:
-        futures, shed = [], []
-        for user in range(8):
+        futures = [submit_and_hold(gateway, engine, 0)]
+        shed = []
+        for user in range(1, 8):
             try:
-                futures.append(gateway.submit(user % NUM_USERS, 3))
+                futures.append(gateway.submit(user, 3))
             except GatewayOverloadedError as error:
                 shed.append(error)
-        assert shed, "burst of 8 never tripped the max_queue=2 watermark"
+        # One in flight, max_queue=2 queued behind it, the rest refused.
+        assert len(futures) == 3 and len(shed) == 5
         assert all(error.retry_after_s > 0 for error in shed)
+        engine.release()
         for future in futures:
-            assert len(future.result()) > 0  # admitted requests complete
-        stats = gateway.stats()
-        assert stats.shed == len(shed) and stats.shed >= 1
+            assert len(future.result(timeout=30.0)) > 0  # admitted complete
+        assert engine.calls == [[0], [1], [2]]
+        assert gateway.stats().shed == 5
         assert gateway.health()["max_queue"] == 2
 
 
 def test_gateway_shed_retry_hint_is_usable_before_first_batch():
-    """Cold-start shedding must not hint "retry in ~0 seconds".
+    """The shed hint is batch service time (EWMA) x backlog batches.
 
-    Before any batch completes the service-time EWMA is unseeded; with
-    ``max_wait_ms=0`` the hint used to collapse to the 1 ms floor, and a
-    well-behaved client retrying on it would hammer a gateway that is
-    already saturated.  The hint is now floored at the cold-start
-    constant until a real measurement exists.
+    Before any batch completes the EWMA is unseeded; the hint then
+    stands on the cold-start constant instead of collapsing to ~0,
+    which would tell well-behaved clients to hammer a gateway that is
+    already saturated.  Once a batch has completed it follows the
+    measurement, never under 1 ms.
     """
     from repro.serving.gateway import _COLD_START_RETRY_S
 
-    model, histories = _workload()
-    engine = _SlowEngine(ScoringEngine(model, _copies(histories),
-                                       exclude_seen=True), delay_s=0.25)
-    with ServingGateway(engine, max_batch=1, max_wait_ms=0.0, cache_size=0,
-                        max_queue=1) as gateway:
-        shed = []
-        for user in range(6):  # saturate before the first batch returns
-            try:
-                gateway.submit(user % NUM_USERS, 3)
-            except GatewayOverloadedError as error:
-                shed.append(error)
-        assert shed, "burst of 6 never tripped the max_queue=1 watermark"
-        assert all(error.retry_after_s >= _COLD_START_RETRY_S
-                   for error in shed)
+    def shed_hint(gateway, users):
+        """Hold one call, fill max_queue=2 behind it, shed one more.
+
+        Returns the hint and the service-time EWMA it was computed from
+        (stable while the flusher is held inside the engine).
+        """
+        futures = [submit_and_hold(gateway, engine, users[0])]
+        futures += [gateway.submit(user, 3) for user in users[1:3]]
+        with pytest.raises(GatewayOverloadedError) as shed:
+            gateway.submit(users[3], 3)
+        ewma = gateway._service_ewma_s
+        engine.release()
+        for future in futures:
+            future.result(timeout=30.0)
+        return shed.value.retry_after_s, ewma
+
+    engine = _gated_engine(*_workload())
+    with ServingGateway(engine, max_batch=1, cache_size=0,
+                        max_queue=2) as gateway:
+        # Two queued requests are two batches of max_batch=1.
+        assert shed_hint(gateway, [0, 1, 2, 3]) == (2 * _COLD_START_RETRY_S,
+                                                    None)
+        hint, ewma = shed_hint(gateway, [4, 5, 6, 7])
+        assert ewma is not None and hint == max(2 * ewma, 1e-3)
 
 
 def test_gateway_expires_queued_requests_at_their_deadline():
-    model, histories = _workload()
-    engine = _SlowEngine(ScoringEngine(model, _copies(histories),
-                                       exclude_seen=True), delay_s=0.3)
-    with ServingGateway(engine, max_batch=1, max_wait_ms=1.0,
-                        cache_size=0) as gateway:
-        blocker = gateway.submit(0, 3)  # occupies the flusher ~0.3 s
-        doomed = gateway.submit(1, 3, timeout=0.05)  # expires while queued
+    engine = _gated_engine(*_workload())
+    with ServingGateway(engine, max_batch=4, cache_size=0) as gateway:
+        blocker = submit_and_hold(gateway, engine, 0)
+        doomed = gateway.submit(1, 3, timeout=0.02)
+        # The caller's own bounded wait runs out first (the flusher is
+        # held, nobody can resolve the future), and by then the
+        # request's deadline has passed behind the held call.
+        with pytest.raises(TimeoutError, match="did not complete"):
+            doomed.result(timeout=0.1)
+        engine.release()
         with pytest.raises(TimeoutError, match="deadline expired"):
-            doomed.result()
-        assert len(blocker.result()) > 0
+            doomed.result(timeout=30.0)
+        assert len(blocker.result(timeout=30.0)) > 0
         # The expiry poisoned nothing: a later request serves fine.
-        assert len(gateway.submit(2, 3).result()) > 0
-        assert gateway.stats().expired == 1
+        assert len(gateway.submit(2, 3).result(timeout=30.0)) > 0
+        # The doomed request never reached the engine.
+        assert engine.calls == [[0], [2]]
+        stats = gateway.stats()
+        assert stats.expired == 1
+        assert (stats.batches, stats.flush_deadline) == (2, 0)
 
 
 def test_gateway_propagates_deadline_into_sharded_engine():
@@ -451,8 +457,8 @@ def test_gateway_propagates_deadline_into_sharded_engine():
     engine = _sharded(model, histories, fault_plan=plan)
     try:
         assert engine.supports_deadlines
-        with ServingGateway(engine, max_batch=4, max_wait_ms=1.0,
-                            cache_size=0, request_timeout_s=0.5) as gateway:
+        with ServingGateway(engine, max_batch=4, cache_size=0,
+                            request_timeout_s=0.5) as gateway:
             doomed = gateway.submit(int(shard0_users[0]), 3)
             with pytest.raises(TimeoutError):
                 doomed.result()
