@@ -50,9 +50,10 @@ bench-e2e-smoke:
 	$(PYTHON) -m pytest bench/test_harness.py -q
 
 # Perf-regression gate: working tree vs REF on bench/, ten alternating
-# pairs per workload (~1 h; scripts/bench_compare.py takes --pairs and
-# --workload for a shorter look).  CLAIM=workload:metric also checks a
-# claimed gain (CLAIM MET / NOT MET, exit 1 when not met).
+# pairs per workload (~1 h for all six).  WORKLOADS="a b" and PAIRS=n
+# narrow it (the two gateway workloads at ten pairs are ~15 min);
+# CLAIM=workload:metric also checks a claimed gain (CLAIM MET / NOT MET,
+# exit 1 when not met).
 bench-compare:
-	@test -n "$(REF)" || { echo "usage: make bench-compare REF=<sha> [CLAIM=workload:metric]"; exit 2; }
-	$(PYTHON) -m scripts.bench_compare $(REF) $(if $(CLAIM),--claim $(CLAIM))
+	@test -n "$(REF)" || { echo "usage: make bench-compare REF=<sha> [WORKLOADS=\"w1 w2\"] [PAIRS=n] [CLAIM=workload:metric]"; exit 2; }
+	$(PYTHON) -m scripts.bench_compare $(REF) $(if $(WORKLOADS),--workload $(WORKLOADS)) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(CLAIM),--claim $(CLAIM))

@@ -89,16 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--gateway", action="store_true",
                        help="serve through the online gateway: requests are "
                             "coalesced into engine micro-batches and hot "
-                            "users are answered from the score-row cache")
+                            "users are answered from the top-k answer cache")
     serve.add_argument("--max-batch", type=int, default=32,
                        help="gateway batch cap: most requests one engine "
                             "call takes (the flusher serves whatever is "
                             "queued the moment the engine is free)")
     serve.add_argument("--cache-size", type=int, default=256,
-                       help="gateway score-row cache capacity (rows; 0 "
+                       help="gateway answer cache capacity (answers; 0 "
                             "disables caching)")
     serve.add_argument("--cache-ttl", type=float, default=None,
-                       help="gateway score-row cache TTL in seconds "
+                       help="gateway answer cache TTL in seconds "
                             "(default: no expiry)")
     serve.add_argument("--request-timeout", type=float, default=None,
                        help="per-request deadline in seconds: bounds every "

@@ -18,12 +18,13 @@ on top of a trained model:
   :func:`~repro.serving.explain.explain_ham_scores` — per-factor
   decompositions of HAM's linear score (Eq. 7/8).
 * :class:`~repro.serving.gateway.ServingGateway` — the online request
-  front-end: coalesces concurrent single-user requests into engine
+  front-end: answers a hot user's repeat request inside ``submit()``
+  from a :class:`~repro.serving.cache.TopKCache` of finished
+  ``(ids, scores)`` answers (LRU + TTL, layered over the engine's
+  representation cache) and coalesces the misses into engine
   micro-batches (bounded queue, work-conserving flush: whatever is
-  queued, up to ``max_batch``, is served the moment the engine is
-  free) and layers a hot-user
-  :class:`~repro.serving.cache.ScoreRowCache` (LRU + TTL) over the
-  engine's representation cache; results stay bit-identical to direct
+  queued, up to ``max_batch``, is served by one ``top_k_scored`` call
+  the moment the engine is free); results stay bit-identical to direct
   engine calls (``repro-ham serve --gateway``).  Admission control
   sheds load with :class:`~repro.serving.gateway.GatewayOverloadedError`
   at the ``max_queue`` watermark, and per-request deadlines propagate
@@ -35,7 +36,7 @@ on top of a trained model:
 """
 
 from repro.serving.engine import Recommendation, ScoringEngine
-from repro.serving.cache import CacheStats, ScoreRowCache
+from repro.serving.cache import CacheStats, TopKCache
 from repro.serving.gateway import (
     GatewayFuture,
     GatewayOverloadedError,
@@ -54,7 +55,7 @@ __all__ = [
     "Recommendation",
     "ScoringEngine",
     "CacheStats",
-    "ScoreRowCache",
+    "TopKCache",
     "GatewayFuture",
     "GatewayOverloadedError",
     "GatewayStats",

@@ -611,9 +611,9 @@ class ScoringEngine:
                      ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`top_k` plus the (float64) scores of the returned items.
 
-        The gateway's ANN path uses this to resolve futures without
-        materializing full score rows; seen items are masked before
-        ranking exactly as in :meth:`top_k`.
+        The gateway serves every batch through this, so only ids and
+        scores leave the engine, never full score rows; seen items are
+        masked before ranking exactly as in :meth:`top_k`.
         """
         if k < 1:
             raise ValueError("k must be positive")

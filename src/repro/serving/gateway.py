@@ -14,24 +14,30 @@ engine, so batch size tracks load by itself: a lone request on an idle
 gateway is a batch of one at service-time latency, and under load
 batches grow to ``max_batch`` (see ``docs/serving.md``).
 
-Layered over the engine's per-user *representation* cache, the gateway
-keeps a :class:`~repro.serving.cache.ScoreRowCache` of finished *score
-rows* (LRU + TTL): a hot user's repeat request skips the engine
-entirely and re-ranks the cached ``(num_items,)`` row.  Because the
-cached row is bit-for-bit the row the engine would recompute (until
-``observe``/``refresh`` invalidates it), gateway results are
-**bit-identical** to direct ``ScoringEngine.top_k`` calls — asserted by
-the test suite and by ``bench/``'s reference check.
+The gateway handles ids, never score rows.  A flush asks the engine
+for ``top_k_scored(users, kmax)`` — the ranking happens where the scores
+are, and only ``kmax`` ids and scores per user come back (over the wire,
+on a cluster) — and every request takes its ``[:k]`` prefix; exact and
+ANN retrieval share this one path.  Layered over the engine's per-user
+*representation* cache, the gateway keeps a
+:class:`~repro.serving.cache.TopKCache` of finished *answers* (LRU +
+TTL), and :meth:`ServingGateway.submit` consults it **before** queueing:
+a hot user's repeat request is resolved on the caller's own thread and
+never meets the queue, the flusher or the engine.  Because a cached
+answer is the engine's own ``top_k_scored`` output (until
+``observe``/``refresh`` invalidates it) and top-k lists nest, gateway
+results are **bit-identical** to direct ``ScoringEngine.top_k`` calls —
+asserted by the test suite and by ``bench/``'s reference check.
 
 ``observe(user, item)`` forwards the interaction to the engine (which
 routes it to the owning shard when the engine is a
 :class:`~repro.parallel.sharded.ShardedScoringEngine`) and drops only
-that user's cached rows.
+that user's cached answers before it returns, so every later
+``submit`` sees the interaction.
 
-The gateway works over any engine exposing the scoring API
-(``score_all`` / ``masked_scores`` / ``top_k`` / ``observe``) — the
-serial :class:`~repro.serving.engine.ScoringEngine`, the sharded
-multi-process engine, and the multi-node
+The gateway works over any engine exposing ``top_k_scored`` /
+``observe`` — the serial :class:`~repro.serving.engine.ScoringEngine`,
+the sharded multi-process engine, and the multi-node
 :class:`~repro.cluster.router.ClusterRouter` alike
 (:meth:`ServingGateway.over_cluster` wires the last one up directly),
 so micro-batching, caching and shedding work unchanged over the wire.
@@ -60,8 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.evaluation.ranking import top_k_items
-from repro.serving.cache import CacheStats, ScoreRowCache
+from repro.serving.cache import CacheStats, TopKCache
 from repro.serving.engine import Recommendation
 
 __all__ = ["GatewayFuture", "GatewayStats", "ServingGateway",
@@ -97,9 +102,10 @@ class GatewayOverloadedError(RuntimeError):
 class GatewayFuture:
     """Handle to one in-flight gateway request.
 
-    Resolved by the flusher thread; :meth:`result` blocks the caller
-    until then.  Futures are single-assignment: exactly one of a value
-    or an error is ever set.
+    Resolved by the flusher thread — or, on a cache hit, by
+    :meth:`ServingGateway.submit` itself before it returns;
+    :meth:`result` blocks the caller until then.  Futures are
+    single-assignment: exactly one of a value or an error is ever set.
     """
 
     __slots__ = ("_event", "_ranked", "_scores", "_error")
@@ -127,7 +133,9 @@ class GatewayFuture:
         """The ranked top-k item ids (best first), blocking until ready.
 
         Raises the batch's error if the engine call failed, and
-        ``TimeoutError`` if ``timeout`` seconds elapse first.
+        ``TimeoutError`` if ``timeout`` seconds elapse first.  The
+        array is read-only: it may be the answer cache's own, shared
+        with every other caller served from it.
         """
         if not self._event.wait(timeout):
             raise TimeoutError("gateway request did not complete in time")
@@ -136,7 +144,11 @@ class GatewayFuture:
         return self._ranked
 
     def recommendations(self, timeout: float | None = None) -> list[Recommendation]:
-        """The result as :class:`Recommendation` entries (item/score/rank)."""
+        """The result as :class:`Recommendation` entries (item/score/rank).
+
+        Scores are the engine's float64 ``top_k_scored`` scores, in
+        exact and ANN mode alike.
+        """
         ranked = self.result(timeout)
         return [
             Recommendation(item=int(item), score=float(score), rank=rank)
@@ -148,14 +160,18 @@ class GatewayFuture:
 class GatewayStats:
     """Operational counters of one :class:`ServingGateway`.
 
-    ``batches`` counts every engine batch.  ``flush_full`` counts those
-    cut at ``max_batch`` (at least one call's worth was queued — the
-    gateway is loaded) and ``flush_drain`` those flushed by the
-    close-time drain; every other batch is whatever was queued when the
-    flusher came free.  ``flush_deadline`` is always 0: there is no
-    flush timer any more, and the field survives only because the
-    frozen ``bench/serve.py`` reads it — the next ``benchmark`` PR
-    retires it together with ``gateway.flush_deadline_share``.
+    ``requests`` counts every accepted :meth:`ServingGateway.submit`,
+    cache hits answered inside it included; ``batches`` counts engine
+    batches only, so ``mean_batch_size`` is misses per engine call and
+    ``requests - cache.hits`` is what the batches carried.
+    ``flush_full`` counts the batches cut at ``max_batch`` (at least one
+    call's worth was queued — the gateway is loaded) and ``flush_drain``
+    those flushed by the close-time drain; every other batch is
+    whatever was queued when the flusher came free.  ``flush_deadline``
+    is always 0: there is no flush timer any more, and the field
+    survives only because the frozen ``bench/serve.py`` reads it — the
+    next ``benchmark`` PR retires it together with
+    ``gateway.flush_deadline_share``.
     ``shed`` counts submissions refused with
     :class:`GatewayOverloadedError` at the ``max_queue`` watermark, and
     ``expired`` counts requests failed by their own deadline (while
@@ -225,28 +241,28 @@ class ServingGateway:
         is free, so this only caps how much a backlog amortizes per
         call.
     cache_size:
-        Capacity of the hot-user score-row cache; ``0`` disables
-        caching entirely.
+        Capacity of the hot-user answer cache (entries, a few hundred
+        bytes each at ``k=10``); ``0`` disables caching entirely.
     cache_ttl_s:
-        Optional TTL for cached rows (seconds); ``None`` keeps rows
+        Optional TTL for cached answers (seconds); ``None`` keeps them
         until eviction or invalidation.
     max_queue:
         High-watermark admission control: with this many requests
         already queued, :meth:`submit` sheds (raises
         :class:`GatewayOverloadedError` with a retry-after hint) instead
-        of queueing.  ``None`` (default) never sheds — the pre-existing
-        behaviour.
+        of queueing; cache hits are never queued and so never shed.
+        ``None`` (default) never sheds — the pre-existing behaviour.
     request_timeout_s:
         Default per-request deadline applied to every :meth:`submit`
         that does not pass its own ``timeout``; ``None`` (default)
         means no deadline.
     retrieval_mode:
-        ``"exact"`` (default) scores the full catalogue per batch and
-        feeds the score-row cache.  ``"ann"`` serves batches through
-        the engine's ANN candidate stage (``top_k_scored(mode="ann")``)
-        — sub-linear in catalogue size, bypassing the row cache (there
-        is no full row to cache); the engine must have an ANN index
-        attached.
+        ``"exact"`` (default) has the engine score and rank the full
+        catalogue per batch.  ``"ann"`` serves batches through the
+        engine's ANN candidate stage (``top_k_scored(mode="ann")``) —
+        sub-linear in catalogue size; the engine must have an ANN index
+        attached.  Both feed the answer cache: the mode and its dial
+        are fixed for the gateway's life, so they are not in the key.
     n_probe / candidate_multiplier:
         Optional ANN dial overrides applied to every batch in
         ``retrieval_mode="ann"`` (``None`` inherits the index
@@ -290,21 +306,29 @@ class ServingGateway:
         self.max_batch = int(max_batch)
         self.max_queue = None if max_queue is None else int(max_queue)
         self.request_timeout_s = request_timeout_s
-        self.cache = (ScoreRowCache(cache_size, ttl_s=cache_ttl_s)
+        self.cache = (TopKCache(cache_size, ttl_s=cache_ttl_s)
                       if cache_size else None)
         self._own_engine = own_engine
         # Propagate request deadlines into engines that accept them
         # (the sharded engine advertises the capability).
         self._engine_deadlines = bool(getattr(engine, "supports_deadlines",
                                               False))
+        # What every top_k_scored call carries besides users and k.
+        self._retrieval_kwargs = (
+            {} if retrieval_mode == "exact"
+            else {"mode": "ann", "n_probe": self.n_probe,
+                  "candidate_multiplier": self.candidate_multiplier})
 
         self._lock = threading.Lock()
         self._queued = threading.Condition(self._lock)
         self._queue: deque[_Request] = deque()
         self._closed = False
 
-        # Engine + cache access is serialized: the flusher thread and
-        # observe()/refresh() callers never touch them concurrently.
+        # Engine access is serialized: the flusher thread and
+        # observe()/refresh() callers never touch it concurrently.  The
+        # cache has its own lock for lookups, but is only *written*
+        # under this one — compute + put here, observe + invalidate
+        # there — so a put can never land after the invalidate it raced.
         self._engine_lock = threading.Lock()
 
         self._requests = 0
@@ -353,12 +377,19 @@ class ServingGateway:
     def submit(self, user: int, k: int = 10,
                exclude_seen: bool | None = None,
                timeout: float | None = None) -> GatewayFuture:
-        """Enqueue one single-user top-k request; returns immediately.
+        """Answer one single-user top-k request from the cache, or enqueue it.
+
+        Returns immediately either way: on a cache hit (an answer at
+        least ``k`` wide, not invalidated or expired) the returned
+        future is already resolved, from the caller's own thread;
+        otherwise the request joins the flusher's queue.
 
         ``exclude_seen=None`` inherits the engine's default.  Raises at
         the call site on invalid ids so bad requests never poison a
-        batch, and with :class:`GatewayOverloadedError` when the queue
-        is at its ``max_queue`` watermark.
+        batch, with ``RuntimeError`` on a closed gateway (cached answer
+        or not), and with :class:`GatewayOverloadedError` when the
+        request would have to queue at the ``max_queue`` watermark — a
+        hit adds no load, so it is served even then.
 
         ``timeout`` (seconds, default: the gateway's
         ``request_timeout_s``) is the request's end-to-end deadline: it
@@ -376,19 +407,31 @@ class ServingGateway:
             raise ValueError("timeout must be positive (or None)")
         masked = bool(self.engine.exclude_seen if exclude_seen is None
                       else exclude_seen)
-        request = _Request(user=int(user), k=int(k), masked=masked,
-                           deadline=(None if timeout is None
-                                     else time.monotonic() + timeout))
+        # No answer is wider than the catalogue, so an entry that spans
+        # it serves every k.
+        user, k = int(user), min(int(k), self.engine.num_items)
+        answer = (None if self.cache is None
+                  else self.cache.get((user, masked), k))
+        if answer is None:
+            request = _Request(user=user, k=k, masked=masked,
+                               deadline=(None if timeout is None
+                                         else time.monotonic() + timeout))
         with self._lock:
             if self._closed:
                 raise RuntimeError("gateway is closed")
-            if self.max_queue is not None and len(self._queue) >= self.max_queue:
-                self._shed += 1
-                raise GatewayOverloadedError(self._retry_after_locked())
-            self._queue.append(request)
+            if answer is None:
+                if (self.max_queue is not None
+                        and len(self._queue) >= self.max_queue):
+                    self._shed += 1
+                    raise GatewayOverloadedError(self._retry_after_locked())
+                self._queue.append(request)
+                self._queued.notify()  # one waiter: the flusher
             self._requests += 1
-            self._queued.notify()  # one waiter: the flusher
-        return request.future
+        if answer is None:
+            return request.future
+        future = GatewayFuture()
+        future._resolve(*answer)
+        return future
 
     def _retry_after_locked(self) -> float:
         """Retry hint for a shed request (callers hold ``self._lock``).
@@ -417,11 +460,12 @@ class ServingGateway:
         return self.submit(user, k).recommendations()
 
     def observe(self, user: int, item: int) -> None:
-        """Record a new interaction and invalidate the user's cached rows.
+        """Record a new interaction and invalidate the user's cached answers.
 
         Delegates to ``engine.observe`` — which a sharded engine routes
-        to the owning user-range worker — then drops the user's score
-        rows from the gateway cache so the next request re-scores.
+        to the owning user-range worker — then drops the user's answers
+        from the gateway cache, both before returning: every ``submit``
+        issued afterwards re-scores.
         """
         with self._engine_lock:
             self.engine.observe(user, item)
@@ -429,7 +473,7 @@ class ServingGateway:
                 self.cache.invalidate_user(user)
 
     def refresh(self) -> None:
-        """Re-snapshot the engine's weights and clear the row cache.
+        """Re-snapshot the engine's weights and clear the answer cache.
 
         Serial engines only: a sharded engine's frozen table lives in
         an already-published shared-memory segment, so refreshing it
@@ -448,13 +492,9 @@ class ServingGateway:
 
     def stats(self) -> GatewayStats:
         """Operational counter snapshot (see :class:`GatewayStats`)."""
-        # The cache is only ever touched under the engine lock (its own
-        # documented contract), so its snapshot is taken there; the two
-        # locks are acquired sequentially, never nested.
-        cache_stats = None
-        if self.cache is not None:
-            with self._engine_lock:
-                cache_stats = self.cache.stats()
+        # Never the engine lock: a monitoring call must not wait out an
+        # engine batch or an observe.
+        cache_stats = None if self.cache is None else self.cache.stats()
         with self._lock:
             batches = self._batches
             mean = self._batched_requests / batches if batches else 0.0
@@ -573,21 +613,14 @@ class ServingGateway:
             if deadlines:
                 engine_timeout = max(min(deadlines) - started, 1e-3)
         try:
-            if self.retrieval_mode == "ann":
-                with self._engine_lock:
-                    resolved = self._ann_results(live, engine_timeout)
-                for request, (ranked, scores) in zip(live, resolved):
-                    request.future._resolve(ranked, scores)
-            else:
-                with self._engine_lock:
-                    rows = self._score_rows(live, engine_timeout)
-                for request, row in zip(live, rows):
-                    # Per-row ranking is bit-identical to the engine's
-                    # batch call: top_k_items ranks rows independently
-                    # and by one rule (score descending, id ascending),
-                    # whichever of its kernels the block shape selects.
-                    ranked = top_k_items(row[None, :], request.k)[0]
-                    request.future._resolve(ranked, row[ranked])
+            with self._engine_lock:
+                answers = self._answers(live, engine_timeout)
+            for request in live:
+                ranked, scores = answers[(request.user, request.masked)]
+                if ranked.shape[0] > request.k:
+                    # Top-k lists nest: the narrower answer is a prefix.
+                    ranked, scores = ranked[:request.k], scores[:request.k]
+                request.future._resolve(ranked, scores)
         except BaseException as error:
             # Resolve with the error and keep the flusher alive: a dead
             # flusher would strand every future submitted afterwards,
@@ -612,76 +645,48 @@ class ServingGateway:
                         _EWMA_ALPHA * elapsed
                         + (1.0 - _EWMA_ALPHA) * self._service_ewma_s)
 
-    def _ann_results(self, batch: list[_Request],
-                     engine_timeout: float | None = None,
-                     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``(ranked, scores)`` per request through the ANN stage.
+    def _answers(self, batch: list[_Request],
+                 engine_timeout: float | None = None,
+                 ) -> dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]]:
+        """``(ranked, scores)`` per ``(user, masked)`` of one batch.
 
         Requests are grouped by their mask flag and deduplicated by
-        user; each group is served with one ``top_k_scored`` call at
-        the group's largest ``k``, and narrower requests take a prefix
-        of their user's row (top-k lists nest by construction).  The
-        score-row cache is not involved — the whole point of the ANN
-        path is never materializing ``(num_items,)`` rows.
+        user (first arrival first); each group is one
+        ``engine.top_k_scored`` call at the group's largest ``k`` —
+        ranking happens in the engine, shard worker or node that holds
+        the scores, and only ids and scores come back.  Each user's
+        answer is kept (and cached) as wide as the widest ``k`` asked
+        for *that user*, so one catalogue-wide request does not fatten
+        its batch-mates' entries.  Runs under ``_engine_lock``.
         """
-        engine_kwargs = {}
-        if engine_timeout is not None:
-            engine_kwargs["timeout"] = engine_timeout
-        rows: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
-        for masked in (True, False):
-            requests = [request for request in batch if request.masked == masked]
-            if not requests:
-                continue
-            users = sorted({request.user for request in requests})
-            kmax = max(request.k for request in requests)
-            ranked, scores = self.engine.top_k_scored(
-                np.asarray(users, dtype=np.int64), kmax,
-                exclude_seen=masked, mode="ann", n_probe=self.n_probe,
-                candidate_multiplier=self.candidate_multiplier,
-                **engine_kwargs)
-            for position, user in enumerate(users):
-                rows[(user, masked)] = (ranked[position], scores[position])
-        results = []
-        for request in batch:
-            ranked, scores = rows[(request.user, request.masked)]
-            width = min(request.k, ranked.shape[0])
-            results.append((ranked[:width], scores[:width]))
-        return results
-
-    def _score_rows(self, batch: list[_Request],
-                    engine_timeout: float | None = None) -> list[np.ndarray]:
-        """One score row per request: cache hits + one engine batch."""
-        rows: dict[tuple[int, bool], np.ndarray] = {}
-        pending: list[tuple[int, bool]] = []
+        widest: dict[tuple[int, bool], int] = {}
         for request in batch:
             key = (request.user, request.masked)
-            if key in rows or key in pending:
-                continue
-            cached = self.cache.get(key) if self.cache is not None else None
-            if cached is not None:
-                rows[key] = cached
-            else:
-                pending.append(key)
-        engine_kwargs = {}
+            if widest.get(key, 0) < request.k:
+                widest[key] = request.k
+        engine_kwargs = dict(self._retrieval_kwargs)
         if engine_timeout is not None:
             engine_kwargs["timeout"] = engine_timeout
+        answers = {}
         for masked in (True, False):
-            users = [user for user, flag in pending if flag == masked]
-            if not users:
+            keys = [key for key in widest if key[1] == masked]
+            if not keys:
                 continue
-            user_array = np.asarray(users, dtype=np.int64)
-            scores = (self.engine.masked_scores(user_array, **engine_kwargs)
-                      if masked
-                      else self.engine.score_all(user_array, **engine_kwargs))
-            for position, user in enumerate(users):
+            ranked, scores = self.engine.top_k_scored(
+                np.asarray([user for user, _ in keys], dtype=np.int64),
+                max(widest[key] for key in keys),
+                exclude_seen=masked, **engine_kwargs)
+            # Replies are read-only with or without a cache.
+            ranked.flags.writeable = scores.flags.writeable = False
+            for position, key in enumerate(keys):
+                answer = (ranked[position, :widest[key]],
+                          scores[position, :widest[key]])
                 if self.cache is not None:
-                    # put() returns the cache's owned copy — serve that
-                    # instead of copying the row a second time.
-                    row = self.cache.put((user, masked), scores[position])
-                else:
-                    row = np.array(scores[position], copy=True)
-                rows[(user, masked)] = row
-        return [rows[(request.user, request.masked)] for request in batch]
+                    # put() returns the cache's owned copies — serve
+                    # those instead of pinning the batch matrices.
+                    answer = self.cache.put(key, *answer)
+                answers[key] = answer
+        return answers
 
     # ------------------------------------------------------------------ #
     # Lifecycle

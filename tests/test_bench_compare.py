@@ -1,11 +1,16 @@
 """Tests for the verdict arithmetic of ``scripts/bench_compare.py``.
 
-Canned numbers only — no ``bench/`` run, no subprocess: the quartiles,
-the WORSE / unresolved / ok verdict and the rule for claiming a gain
-(``--claim``).
+Canned numbers only — no ``bench/`` run: the quartiles, the WORSE /
+unresolved / ok verdict and the rule for claiming a gain (``--claim``),
+plus a dry run (``make -n``) of the Makefile target that forwards its
+variables to the script's flags.
 """
 
 from __future__ import annotations
+
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -70,3 +75,19 @@ def test_claim_needs_nine_wins_in_ten_and_a_gain_beyond_refs_quartiles():
     # Ten wins of a hair: the medians differ by less than REF's q3 - q1.
     hair = judge(REF, [value - 0.01 for value in REF], "lower", 0.25)
     assert hair["wins"] == 10 and not claim_met(hair, "lower", 10)
+
+
+@pytest.mark.skipif(shutil.which("make") is None, reason="make not installed")
+def test_make_bench_compare_forwards_workloads_pairs_and_claim():
+    def recipe(*variables: str) -> str:
+        done = subprocess.run(
+            ["make", "-n", "bench-compare", *variables],
+            cwd=Path(__file__).resolve().parents[1],
+            stdout=subprocess.PIPE, text=True, check=True)
+        return " ".join(done.stdout.splitlines()[-1].split())
+
+    assert recipe("REF=abc123").endswith("-m scripts.bench_compare abc123")
+    assert recipe("REF=abc123", "WORKLOADS=serve_hot serve_cluster", "PAIRS=3",
+                  "CLAIM=serve_hot:throughput_per_s").endswith(
+        "-m scripts.bench_compare abc123 --workload serve_hot serve_cluster "
+        "--pairs 3 --claim serve_hot:throughput_per_s")

@@ -88,7 +88,10 @@ class TestMetricProperties:
 
 
 class TestGiniProperties:
-    counts = st.lists(st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+    # No subnormals: scaling 5e-324 by 0.5 underflows to 0.0, which is a
+    # different distribution, not a rescaled one.
+    counts = st.lists(st.floats(min_value=0.0, max_value=1e4, allow_nan=False,
+                                allow_subnormal=False),
                       min_size=2, max_size=50)
 
     @settings(max_examples=60, deadline=None)

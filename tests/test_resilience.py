@@ -390,6 +390,27 @@ def test_gateway_sheds_load_at_high_watermark():
         assert gateway.health()["max_queue"] == 2
 
 
+def test_gateway_serves_cache_hits_at_a_full_queue():
+    """A hit adds no load: at the watermark it is served, a miss is shed."""
+    engine = _gated_engine(*_workload())
+    with ServingGateway(engine, max_batch=1, cache_size=8,
+                        max_queue=1) as gateway:
+        cached = gateway.top_k(5, 3)
+        futures = [submit_and_hold(gateway, engine, 0), gateway.submit(1, 3)]
+        with pytest.raises(GatewayOverloadedError):
+            gateway.submit(2, 3)
+        hit = gateway.submit(5, 3)
+        assert hit.done() and np.array_equal(hit.result(timeout=0), cached)
+        with pytest.raises(GatewayOverloadedError):
+            gateway.submit(5, 4)  # wider than cached: a miss like any other
+        engine.release()
+        for future in futures:
+            assert len(future.result(timeout=30.0)) > 0
+        stats = gateway.stats()
+        assert (stats.shed, stats.requests, stats.batches) == (2, 4, 3)
+        assert engine.calls == [[5], [0], [1]]
+
+
 def test_gateway_shed_retry_hint_is_usable_before_first_batch():
     """The shed hint is batch service time (EWMA) x backlog batches.
 

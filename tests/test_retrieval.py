@@ -446,13 +446,22 @@ def test_gateway_ann_mode_matches_engine():
     engine = ScoringEngine(trained_model(split), split.train_plus_valid())
     engine.build_ann_index()
     users = np.arange(split.num_users, dtype=np.int64)
-    expected = engine.top_k(users, 5, mode="ann")
+    expected, scores = engine.top_k_scored(users, 5, mode="ann")
 
-    with ServingGateway(engine, retrieval_mode="ann") as front:
+    with ServingGateway(engine, retrieval_mode="ann",
+                        cache_size=int(users.size)) as front:
         futures = [front.submit(int(user), 5) for user in users]
         batches = [future.recommendations() for future in futures]
+        # ANN answers are cached like exact ones: repeats never reach
+        # the engine, and narrower requests take a prefix.
+        repeats = [front.submit(int(user), 3) for user in users]
+        assert all(future.done() for future in repeats)
+        stats = front.stats()
     for row in range(users.size):
         assert [entry.item for entry in batches[row]] == expected[row].tolist()
+        assert [entry.score for entry in batches[row]] == scores[row].tolist()
+        assert repeats[row].result().tolist() == expected[row, :3].tolist()
+    assert stats.cache.hits == users.size
     engine.close()
 
 
