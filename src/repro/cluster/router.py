@@ -34,17 +34,21 @@ Failure handling, end to end:
   replayed from the beginning, because its engine restarted from the
   base snapshot.  That is what keeps post-failover answers bit-identical
   even for users whose history changed mid-flight.
-* **Durable observe log (PR 9)** — with ``wal_dir=...`` the log lives
-  in a :class:`~repro.durability.wal.WriteAheadLog`: every observe is
-  journaled (write-ahead) before it is applied anywhere, per-node
-  watermarks and epochs are journaled alongside, and a restarted
-  router rebuilds both from the WAL — a SIGKILLed router comes back
-  and still serves bit-identical top-k, including replicated observes.
-  Sealed WAL segments are compacted once every replica's watermark
-  passes them.  Replayed observes carry their log sequence number, so
-  a node that already applied an entry (same epoch) deduplicates it —
-  the crash window between "applied" and "watermark journaled" does
-  not double-apply.
+* **Durable observe log** — with ``wal_dir=...`` the log lives in a
+  :class:`~repro.durability.wal.WriteAheadLog`: every observe appends
+  exactly one fsynced ``O`` record (write-ahead) before it is applied
+  anywhere.  Per-node (watermark, epoch) ``W`` records are journaled
+  off the per-observe path — at a node's first contact or epoch
+  change, after a catch-up that replayed entries, on the heartbeat
+  (deduplicated), before compaction and in :meth:`close` — and a
+  restarted router rebuilds the log and the watermarks from the WAL:
+  a SIGKILLed router comes back and still serves bit-identical top-k,
+  including replicated observes.  Sealed WAL segments are compacted
+  once every replica's watermark passes them.  Replayed observes carry
+  their log sequence number, so a node that already applied an entry
+  (same epoch) deduplicates it: a journaled watermark that trails the
+  node costs a successor router one re-send per observe since the
+  last ``W`` record, never a double apply.
 
 The router implements the full engine duck-type
 (``num_users`` / ``num_items`` / ``exclude_seen`` / ``score_all`` /
@@ -339,7 +343,10 @@ class ClusterRouter:
         self._observe_lock = threading.Lock()
         self._next_seq = 0  # seq counter of the in-memory (no-WAL) mode
         self._compacted_below = 0  # first seq still replayable
-        self._journaled_state: dict[int, tuple[int, str | None]] = {}
+        # Last (watermark, epoch) journaled per node; (0, None) is what
+        # recovery assumes for a node the WAL never mentions.
+        self._journaled_state: dict[int, tuple[int, str | None]] = {
+            client.index: (0, None) for client in self._clients}
 
         self._stats_lock = threading.Lock()
         self._stats = {
@@ -376,7 +383,7 @@ class ClusterRouter:
         for client in self._clients:
             with client.lock:
                 try:
-                    client.ensure_connected(connect_timeout_s)
+                    self._connect_locked(client, connect_timeout_s)
                     connected += 1
                 except (NodeUnavailable, TimeoutError):
                     continue
@@ -464,6 +471,7 @@ class ClusterRouter:
                     client = self._clients[node_index]
                     client.watermark = int(watermark)
                     client.epoch = epoch
+                    self._journaled_state[node_index] = (int(watermark), epoch)
         self._compacted_below = self._wal.first_seq
         self._stats["wal_recovered_observes"] = recovered
 
@@ -472,15 +480,21 @@ class ClusterRouter:
         """Journal ``client``'s (watermark, epoch) if it changed.
 
         Called with ``client.lock`` held (the watermark/epoch pair must
-        be read consistently).  A failed append is counted and skipped:
-        the journal then under-states the watermark, which on restart
-        means re-replaying entries the node deduplicates by sequence
-        number — safe, just slower.
+        be read consistently).  Never per observe: the request path
+        journals only a node's first contact or epoch change
+        (:meth:`_connect_locked`) and a catch-up that replayed entries;
+        the heartbeat, compaction and :meth:`close` journal the current
+        watermark.  A stale journaled watermark is safe: a successor
+        router re-sends the entries after it, and a node on the same
+        epoch drops each one by sequence number (``applied_seq``) — the
+        replay bound is the observes since the last journaled state.
+        A failed append is counted and skipped, which only widens that
+        bound.
         """
         if self._wal is None:
             return
         state = (client.watermark, client.epoch)
-        if not force and self._journaled_state.get(client.index) == state:
+        if not force and self._journaled_state[client.index] == state:
             return
         payload = (self._WATERMARK_TAG
                    + struct.pack("<qq", client.index, client.watermark)
@@ -491,6 +505,19 @@ class ClusterRouter:
             self._bump("wal_write_errors")
             return
         self._journaled_state[client.index] = state
+
+    def _connect_locked(self, client: _NodeClient, remaining_s: float) -> bool:
+        """:meth:`_NodeClient.ensure_connected`, journaling a new epoch.
+
+        Called with ``client.lock`` held.  The (watermark, epoch) pair
+        is journaled at first contact and after every epoch change, so
+        a successor router can tell a rejoined process from the one it
+        journaled.  Returns ``True`` when a rejoin was seen.
+        """
+        rejoined = client.ensure_connected(remaining_s)
+        if self._journaled_state[client.index][1] != client.epoch:
+            self._journal_node_state(client)
+        return rejoined
 
     def _maybe_compact(self) -> None:
         """Drop WAL segments every replica's watermark has passed.
@@ -600,7 +627,7 @@ class ClusterRouter:
         finally:
             if replayed:
                 self._bump("observes_replayed", replayed)
-            self._journal_node_state(client)
+                self._journal_node_state(client)
 
     def _attempt(self, client: _NodeClient, kind: str, meta: dict,
                  arrays: dict, deadline: float) -> Frame:
@@ -610,7 +637,7 @@ class ClusterRouter:
             if remaining <= 0:
                 raise TimeoutError("request deadline expired")
             was_connected = client.sock is not None
-            rejoined = client.ensure_connected(remaining)
+            rejoined = self._connect_locked(client, remaining)
             if not was_connected and client.sock is not None:
                 self._bump("reconnects")
             if rejoined:
@@ -863,7 +890,7 @@ class ClusterRouter:
                         remaining = deadline - time.monotonic()
                         if remaining <= 0:
                             raise TimeoutError("observe deadline expired")
-                        client.ensure_connected(remaining)
+                        self._connect_locked(client, remaining)
                         # Older entries first, then this one, in order.
                         self._catch_up_locked(client, deadline, upto=seq)
                         remaining = deadline - time.monotonic()
@@ -876,7 +903,6 @@ class ClusterRouter:
                         if reply.kind == "error":
                             raise_reply_error(reply)
                         client.watermark = seq + 1
-                        self._journal_node_state(client)
                         applied += 1
                     except (OSError, ProtocolError, RuntimeError):
                         continue
@@ -898,34 +924,37 @@ class ClusterRouter:
     # ------------------------------------------------------------------ #
     def _heartbeat_loop(self) -> None:
         while not self._stop.wait(self._heartbeat_interval_s):
-            for client in self._clients:
-                if self._stop.is_set():
-                    return
-                # Never queue behind an in-flight request: a busy
-                # connection is proof of life.
-                if not client.lock.acquire(blocking=False):
+            self._heartbeat_pass(self._heartbeat_interval_s)
+
+    def _heartbeat_pass(self, budget_s: float) -> None:
+        """Probe every node once, each probe bounded by ``budget_s``.
+
+        A live node is caught up on missed observes and its current
+        watermark journaled (deduplicated) — both off the request path.
+        """
+        for client in self._clients:
+            if self._stop.is_set():
+                return
+            # Never queue behind an in-flight request: a busy
+            # connection is proof of life.
+            if not client.lock.acquire(blocking=False):
+                continue
+            try:
+                if self._connect_locked(client, budget_s):
+                    self._bump("rejoins_detected")
+                reply = client._call_locked("ping", {}, {}, budget_s)
+                if reply.kind == "error":
                     continue
-                try:
-                    rejoined = client.ensure_connected(
-                        self._heartbeat_interval_s)
-                    if rejoined:
-                        self._bump("rejoins_detected")
-                    reply = client._call_locked(
-                        "ping", {}, {}, self._heartbeat_interval_s)
-                    if reply.kind == "error":
-                        continue
-                    client.up = True
-                    # A recovered node catches up on missed observes
-                    # here, off the request path.
-                    deadline = time.monotonic() + self._heartbeat_interval_s
-                    self._catch_up_locked(client, deadline)
-                except (OSError, ProtocolError, RuntimeError):
-                    continue
-                finally:
-                    client.lock.release()
-            # Off every node's lock: reclaim WAL segments every
-            # replica's watermark has passed.
-            self._maybe_compact()
+                client.up = True
+                self._catch_up_locked(client, time.monotonic() + budget_s)
+                self._journal_node_state(client)
+            except (OSError, ProtocolError, RuntimeError):
+                continue
+            finally:
+                client.lock.release()
+        # Off every node's lock: reclaim WAL segments every replica's
+        # watermark has passed.
+        self._maybe_compact()
 
     # ------------------------------------------------------------------ #
     # Observability & lifecycle
@@ -969,7 +998,8 @@ class ClusterRouter:
             return dict(self._stats)
 
     def close(self) -> None:
-        """Stop heartbeats, drop node connections, seal the WAL."""
+        """Stop heartbeats, journal every node's watermark, drop node
+        connections, seal the WAL."""
         if self._closed:
             return
         self._closed = True
@@ -978,6 +1008,8 @@ class ClusterRouter:
         if thread is not None:
             thread.join(timeout=5.0)
         for client in self._clients:
+            with client.lock:
+                self._journal_node_state(client)
             client.close()
         if self._wal is not None:
             self._wal.close()

@@ -133,7 +133,7 @@ class ScoringEngine:
         # decomposition get cached representations; the rest fall back to
         # model.score_all on the cached padded inputs.
         try:
-            self._frozen = model.freeze(copy=copy_weights)
+            self._frozen = self._freeze_model()
         except NotImplementedError:
             pass
         else:
@@ -162,6 +162,15 @@ class ScoringEngine:
         # History-less snapshot engines raise on observe() unless
         # from_snapshot() opted them in (the shard workers do).
         self._snapshot_observable = False
+
+    def _freeze_model(self) -> FrozenScorer:
+        """Snapshot the scoring head; a copied head gets its column table.
+
+        A view head (``copy_weights=False``) must keep tracking in-place
+        weight updates, which a derived column copy would not.
+        """
+        frozen = self.model.freeze(copy=self._copy_weights)
+        return frozen.with_item_columns() if self._copy_weights else frozen
 
     def _alloc_representation_cache(self) -> None:
         # The cache matches the model's compute dtype so the cached path
@@ -214,8 +223,8 @@ class ScoringEngine:
             )
         engine._inputs = inputs
         engine._seen_items = seen_items
-        engine._frozen = frozen
         if frozen is not None:
+            engine._frozen = frozen.with_item_columns()
             engine._alloc_representation_cache()
         return engine
 
@@ -248,7 +257,7 @@ class ScoringEngine:
         never serves stale geometry.
         """
         if self._frozen is not None:
-            self._frozen = self.model.freeze(copy=self._copy_weights)
+            self._frozen = self._freeze_model()
             if self._rep_valid is not None:
                 self._rep_valid[:] = False
                 dtype = self._frozen.candidate_embeddings.dtype

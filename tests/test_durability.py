@@ -511,8 +511,9 @@ def test_router_wal_write_error_fails_observe_before_any_replica(tmp_path):
     model, histories = _workload()
     serial = _serial_engine(model, histories)
     nodes = _fresh_nodes(model, histories, tmp_path)
-    # Appends per observe: one O record, then one W record per replica.
-    # Observe #1 = writes 1-3; the fourth write is observe #2's O.
+    # Writes 1-2 are the W records of each node's first contact; after
+    # that every observe appends exactly one O record, so write 3 is
+    # observe #1's O and write 4 is observe #2's O.
     injector = DiskFaultInjector(DiskFaultPlan.no_space(at_op=4))
     try:
         with ClusterRouter([node.address for node in nodes],
@@ -536,6 +537,96 @@ def test_router_wal_write_error_fails_observe_before_any_replica(tmp_path):
     finally:
         for node in nodes:
             node.close()
+
+
+def _wal_tags(wal_dir) -> str:
+    """The record tags of a router WAL in append order (``O``/``W``/``A``)."""
+    wal = WriteAheadLog(str(wal_dir))
+    try:
+        return "".join(chr(payload[0]) for _, payload in wal.replay())
+    finally:
+        wal.close()
+
+
+def test_router_appends_one_wal_record_per_observe(tmp_path):
+    """N observes on a healthy replicated cluster are N ``O`` records.
+
+    Node watermarks are journaled at first contact and on ``close()``,
+    never per observe (nor per request).
+    """
+    model, histories = _workload()
+    nodes = _fresh_nodes(model, histories, tmp_path)
+    wal_dir = tmp_path / "wal"
+    observes = 7
+    try:
+        with ClusterRouter([node.address for node in nodes], replication=2,
+                           heartbeat_interval_s=0.0,
+                           wal_dir=str(wal_dir)) as router:
+            for index in range(observes):
+                router.observe(index % NUM_USERS, (5 * index) % NUM_ITEMS)
+                router.top_k(ALL_USERS, 5)
+            assert router.stats()["observes"] == observes
+        assert _wal_tags(wal_dir) == "WW" + "O" * observes + "WW"
+    finally:
+        for node in nodes:
+            node.close()
+
+
+def _recover_after_abandoned_router(tmp_path, heartbeat_after: int | None):
+    """Abandon a router (no ``close()``), recover a successor, compare.
+
+    Nine observes; with ``heartbeat_after`` set, one heartbeat pass
+    runs after that many of them.  The nodes stay up on their epochs,
+    so the successor re-sends exactly the entries after the last
+    journaled watermark and every node drops each one by ``seq``.
+    """
+    model, histories = _workload()
+    serial = _serial_engine(model, histories)
+    nodes = _fresh_nodes(model, histories, tmp_path)
+    addresses = [node.address for node in nodes]
+    wal_dir = str(tmp_path / "wal")
+    rng = np.random.default_rng(11)
+    observed = [(int(rng.integers(0, NUM_USERS)), int(rng.integers(0, NUM_ITEMS)))
+                for _ in range(9)]
+    abandoned = ClusterRouter(addresses, replication=2,
+                              heartbeat_interval_s=0.0, wal_dir=wal_dir)
+    try:
+        for index, (user, item) in enumerate(observed):
+            if index == heartbeat_after:
+                abandoned._heartbeat_pass(5.0)
+            abandoned.observe(user, item)
+            serial.observe(user, item)
+        # --- abandoned: no close(), so no final watermark record. ------ #
+        resent = len(observed) - (heartbeat_after or 0)
+        deduped = [node.stats()["observes_deduped"] for node in nodes]
+
+        with ClusterRouter(addresses, replication=2, heartbeat_interval_s=0.0,
+                           wal_dir=wal_dir) as successor:
+            assert successor.stats()["wal_recovered_observes"] == len(observed)
+            assert np.array_equal(successor.top_k(ALL_USERS, 5),
+                                  serial.top_k(ALL_USERS, 5))
+            # Replication 2 of 2: every node holds every range.
+            assert successor.stats()["observes_replayed"] == resent * len(nodes)
+            assert successor.stats()["rejoins_detected"] == 0
+        for node, before in zip(nodes, deduped):
+            assert node.stats()["observes_deduped"] - before == resent
+            for user in range(NUM_USERS):
+                assert node.engine.history(user) == serial.history(user)
+    finally:
+        abandoned.close()
+        for node in nodes:
+            node.close()
+
+
+def test_router_successor_replay_is_bounded_without_heartbeat(tmp_path):
+    # Only first contact was journaled: all nine entries are re-sent.
+    _recover_after_abandoned_router(tmp_path, heartbeat_after=None)
+
+
+def test_router_successor_replay_is_bounded_by_last_heartbeat(tmp_path):
+    # The heartbeat journaled the watermarks after six observes: only
+    # the last three are re-sent.
+    _recover_after_abandoned_router(tmp_path, heartbeat_after=6)
 
 
 def test_router_compacts_wal_and_fences_stale_watermarks(tmp_path):

@@ -12,6 +12,7 @@ from repro.data.windows import pad_histories, pad_id_for
 from repro.evaluation.evaluator import RankingEvaluator
 from repro.evaluation.ranking import top_k_items
 from repro.models import HAM, HAMSynergy, Popularity, create_model
+from repro.models.base import FrozenScorer
 from repro.serving import Recommender, ScoringEngine, explain_ham_score, explain_ham_scores
 from repro.training import Trainer, TrainingConfig
 
@@ -194,6 +195,97 @@ class TestTopKKernelParity:
         assert before[1].metrics == after[1].metrics
         assert all(np.array_equal(before[1].per_user[name], values)
                    for name, values in after[1].per_user.items())
+
+
+def row_major_scores(frozen: FrozenScorer, rep: np.ndarray) -> np.ndarray:
+    """``scores_from_representation`` as it was before the column table."""
+    scores = (rep @ frozen.candidate_embeddings.T)[:, : frozen.num_items]
+    if frozen.item_bias is not None:
+        scores = scores + frozen.item_bias[: frozen.num_items]
+    return scores
+
+
+KERNEL_ROWS = list(range(1, 71)) + [127, 256, 1000, 1024]
+KERNEL_DIM = 48
+#: OpenBLAS builds with small-matrix gemm kernels (the AVX-512 targets)
+#: serve blocks with M * N * d at or below 100**3 from a kernel chosen by
+#: operand layout, so there the column table and the row-major table may
+#: round differently.  Larger blocks share one packed kernel.
+SMALL_GEMM_MNK = 100 ** 3
+
+
+class TestScoringKernel:
+    """The column-table gemm against the row-major formula it replaced.
+
+    Known last-bit exceptions, both rounding-order only:
+
+    * one row is a gemv and two or more rows a gemm, so a user's scores
+      can differ in the last bit between a batch of one and a larger
+      batch (ids can then differ only between near-tied items);
+    * blocks at or below ``SMALL_GEMM_MNK`` on OpenBLAS builds with
+      small-matrix kernels.  Serving shapes (20 000 items, ``d = 48``,
+      two or more rows) are far above it.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num_items", [5_000, 20_001])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_column_table_matches_row_major_formula(self, dtype, num_items,
+                                                    with_bias):
+        rng = np.random.default_rng(num_items)
+        table = rng.standard_normal((num_items + 1, KERNEL_DIM)).astype(dtype)
+        bias = (rng.standard_normal(num_items + 1).astype(dtype)
+                if with_bias else None)
+        row_major = FrozenScorer(num_items, table, bias)
+        columns = row_major.with_item_columns()
+        assert columns.item_columns.shape == (KERNEL_DIM, num_items)
+        assert columns.item_columns.flags.c_contiguous
+        assert columns.with_item_columns() is columns
+        reps = rng.standard_normal((max(KERNEL_ROWS), KERNEL_DIM)).astype(dtype)
+        for rows in KERNEL_ROWS:
+            rep = reps[:rows]
+            expected = row_major_scores(row_major, rep)
+            # A per-call freeze (no column table) scores exactly as
+            # before; checked on the small blocks to bound memory.
+            if rows <= 70:
+                assert np.array_equal(
+                    row_major.scores_from_representation(rep), expected)
+            got = columns.scores_from_representation(rep)
+            assert got.shape == (rows, num_items)
+            assert got.dtype == expected.dtype
+            assert got.flags.c_contiguous
+            if rows == 1 or rows * num_items * KERNEL_DIM > SMALL_GEMM_MNK:
+                assert np.array_equal(got, expected), rows
+            else:
+                magnitude = np.abs(rep) @ np.abs(table[:num_items]).T
+                if bias is not None:
+                    magnitude += np.abs(bias[:num_items])
+                tolerance = 4 * KERNEL_DIM * np.finfo(dtype).eps * magnitude
+                assert np.all(np.abs(got - expected) <= tolerance), rows
+            del expected, got  # 160 MB each at 1 024 float64 rows
+
+    def test_top_k_scored_row_is_identical_across_batch_shapes(self):
+        num_users, num_items = 40, 20_000
+        rng = np.random.default_rng(7)
+        model = create_model("HAMm", num_users, num_items,
+                             rng=np.random.default_rng(0),
+                             embedding_dim=KERNEL_DIM, n_h=10, n_l=2,
+                             dtype="float32")
+        histories = [rng.integers(0, num_items, size=30).tolist()
+                     for _ in range(num_users)]
+        engine = ScoringEngine(model, histories, precompute=True)
+        order = rng.permutation(num_users)
+        first, last = [], []
+        for size in (2, 5, 17, 33):
+            # One tracked user opens every batch, the other closes it.
+            batch = np.concatenate([order[:1], order[2:size], order[1:2]])
+            ids, scores = engine.top_k_scored(batch, 10)
+            first.append((ids[0], scores[0]))
+            last.append((ids[-1], scores[-1]))
+        for rows in (first, last):
+            for ids, scores in rows[1:]:
+                assert np.array_equal(ids, rows[0][0])
+                assert np.array_equal(scores, rows[0][1])
 
 
 class TestScoringEngineBehaviour:
