@@ -10,12 +10,19 @@ here with ``SIGALRM``: a chaos-marked test that outlives the budget
 raises ``TimeoutError`` inside the test call instead of wedging the
 whole run.  Override the network and disk budgets with
 ``REPRO_CHAOS_NET_TIMEOUT_S`` and ``REPRO_CHAOS_DISK_TIMEOUT_S``.
+
+Every other test under ``tests/`` gets the ``chaos`` tier's fixed bound
+too: the unit suite spawns shard workers and node processes as well,
+and its slowest test takes a few seconds.  ``benchmarks/`` and
+``bench/`` stay unbounded — a paper table legitimately trains for
+minutes.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -31,14 +38,24 @@ _HARD_TIMEOUT_TIERS = {
 }
 
 
+def _hard_timeout(item) -> tuple[str, str | None, float] | None:
+    """``(tier, environment override or None, budget)`` of ``item``,
+    or ``None`` when it runs unbounded."""
+    for tier, (env_var, default_s) in _HARD_TIMEOUT_TIERS.items():
+        if item.get_closest_marker(tier) is not None:
+            return tier, env_var, default_s
+    if Path(__file__).parent / "tests" in item.path.parents:
+        return ("unit", *_HARD_TIMEOUT_TIERS["chaos"])
+    return None
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item):
-    tier = next((name for name in _HARD_TIMEOUT_TIERS
-                 if item.get_closest_marker(name) is not None), None)
-    if tier is None or not hasattr(signal, "SIGALRM"):
+    bound = _hard_timeout(item)
+    if bound is None or not hasattr(signal, "SIGALRM"):
         yield
         return
-    env_var, default_s = _HARD_TIMEOUT_TIERS[tier]
+    tier, env_var, default_s = bound
     timeout_s = float(os.environ.get(env_var, default_s)) if env_var else default_s
     hint = f" (set {env_var} to change)" if env_var else ""
 

@@ -396,22 +396,11 @@ def _command_serve(dataset: str, method: str, setting: str, scale: str | None,
         unhealthy = _print_health_line(health.get("engine"))
     else:
         try:
-            if retrieval == "ann":
-                # Candidate generation + exact re-rank; dials default to
-                # the index's RetrievalConfig when flags are omitted.
-                import numpy as np
-                from repro.serving.engine import Recommendation
-
-                ranked, scores = engine.top_k_scored(
-                    np.asarray(users, dtype=np.int64), k, mode="ann",
-                    n_probe=n_probe, candidate_multiplier=candidate_multiplier)
-                batches = [
-                    [Recommendation(item=int(item), score=float(score), rank=rank)
-                     for rank, (item, score) in enumerate(zip(ranked[row], scores[row]))]
-                    for row in range(ranked.shape[0])
-                ]
-            else:
-                batches = engine.recommend_batch(users, k)
+            # ANN mode: candidate generation + exact re-rank; dials
+            # default to the index's RetrievalConfig when flags are omitted.
+            batches = engine.recommend_batch(
+                users, k, mode=retrieval, n_probe=n_probe,
+                candidate_multiplier=candidate_multiplier)
             health = engine.health() if hasattr(engine, "health") else None
         finally:
             engine.close()

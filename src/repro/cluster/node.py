@@ -4,9 +4,9 @@ One node is one scoring process reachable over TCP or a Unix socket: it
 owns an engine (a serial :class:`~repro.serving.engine.ScoringEngine`
 or a sharded :class:`~repro.parallel.sharded.ShardedScoringEngine`),
 accepts protocol frames (:mod:`repro.cluster.protocol`), and answers
-the full engine verb set — ``score_all`` / ``masked_scores`` /
-``top_k`` / ``recommend_batch`` / ``observe`` — plus the operational
-verbs a cluster needs: ``hello`` (capability + epoch exchange),
+nine verbs: the engine verbs ``top_k_scored`` / ``observe`` (plus
+``masked_scores``, served by serial-engine nodes only), and the
+operational verbs a cluster needs: ``hello`` (capability + epoch exchange),
 ``ping`` (heartbeats), ``health`` / ``stats``, ``snapshot`` (bootstrap
 a fresh node from this one, see :meth:`EngineNode.from_peer`) and
 ``drain``.
@@ -432,6 +432,14 @@ class EngineNode:
             return {"timeout": float(timeout)}
         return {}
 
+    def _serial_engine(self, verb: str) -> ScoringEngine:
+        """The served engine, if serial; ``verb`` needs one."""
+        if not isinstance(self.engine, ScoringEngine):
+            raise RuntimeError(
+                f"{verb} requires a serial ScoringEngine "
+                f"(this node serves {type(self.engine).__name__})")
+        return self.engine
+
     def _dispatch(self, frame: Frame) -> tuple[dict, dict[str, np.ndarray]]:
         kind = frame.kind
         engine = self.engine
@@ -448,13 +456,12 @@ class EngineNode:
             with self._state_lock:
                 draining = self._draining
             return {"epoch": self.epoch, "draining": draining}, {}
-        if kind in ("score_all", "masked_scores"):
+        if kind == "masked_scores":
             users = frame.array("users")
             with self._engine_lock:
-                method = getattr(engine, kind)
-                scores = method(users, **self._engine_kwargs(frame))
-            return {}, {"scores": np.asarray(scores)}
-        if kind in ("top_k", "top_k_scored"):
+                scores = self._serial_engine(kind).masked_scores(users)
+            return {}, {"scores": scores}
+        if kind == "top_k_scored":
             users = frame.array("users")
             k = int(frame.meta["k"])
             exclude = frame.meta.get("exclude_seen")
@@ -471,27 +478,10 @@ class EngineNode:
             if frame.meta.get("candidate_multiplier") is not None:
                 kwargs["candidate_multiplier"] = int(
                     frame.meta["candidate_multiplier"])
-            if kind == "top_k_scored":
-                with self._engine_lock:
-                    ranked, scores = engine.top_k_scored(users, k, **kwargs)
-                return {}, {"ranked": np.asarray(ranked),
-                            "scores": np.asarray(scores)}
             with self._engine_lock:
-                ranked = engine.top_k(users, k, **kwargs)
-            return {}, {"ranked": np.asarray(ranked)}
-        if kind == "recommend_batch":
-            users = frame.array("users")
-            k = int(frame.meta["k"])
-            with self._engine_lock:
-                recs = engine.recommend_batch(users, k=k)
-            width = max((len(row) for row in recs), default=0)
-            items = np.full((len(recs), width), -1, dtype=np.int64)
-            scores = np.full((len(recs), width), -np.inf, dtype=np.float64)
-            for row, user_recs in enumerate(recs):
-                for col, rec in enumerate(user_recs):
-                    items[row, col] = rec.item
-                    scores[row, col] = rec.score
-            return {}, {"items": items, "scores": scores}
+                ranked, scores = engine.top_k_scored(users, k, **kwargs)
+            return {}, {"ranked": np.asarray(ranked),
+                        "scores": np.asarray(scores)}
         if kind == "observe":
             user = int(frame.meta["user"])
             item = int(frame.meta["item"])
@@ -519,12 +509,8 @@ class EngineNode:
         if kind == "stats":
             return {"stats": self.stats()}, {}
         if kind == "snapshot":
-            if not isinstance(engine, ScoringEngine):
-                raise RuntimeError(
-                    "snapshot hand-off requires a serial ScoringEngine "
-                    f"(this node serves {type(engine).__name__})")
             with self._engine_lock:
-                meta, arrays = serialize_live_engine(engine)
+                meta, arrays = serialize_live_engine(self._serial_engine(kind))
             return meta, arrays
         if kind == "drain":
             # Ack first; the drain flag is set after this reply is sent

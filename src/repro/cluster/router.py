@@ -50,10 +50,11 @@ Failure handling, end to end:
   node costs a successor router one re-send per observe since the
   last ``W`` record, never a double apply.
 
-The router implements the full engine duck-type
-(``num_users`` / ``num_items`` / ``exclude_seen`` / ``score_all`` /
-``masked_scores`` / ``top_k`` / ``recommend_batch`` / ``observe`` /
-``health`` / ``supports_deadlines``), so a
+The router implements the engine duck-type (``num_users`` /
+``num_items`` / ``exclude_seen`` / ``top_k_scored`` / ``observe`` /
+``health`` / ``supports_deadlines``, with ``top_k`` / ``recommend_batch``
+/ ``recommend`` derived by :class:`~repro.serving.engine.RankingVerbs`),
+so a
 :class:`~repro.serving.gateway.ServingGateway` front-ends a cluster
 exactly as it front-ends a local engine — micro-batching, caching and
 load shedding unchanged (see ``ServingGateway.over_cluster``).
@@ -91,7 +92,7 @@ from repro.durability.wal import (
     unpack_observe,
 )
 from repro.parallel.sharded import DEFAULT_REQUEST_TIMEOUT_S
-from repro.serving.engine import Recommendation
+from repro.serving.engine import RankingVerbs
 
 __all__ = ["ClusterRouter", "NodeUnavailable", "user_range",
            "DEFAULT_REQUEST_TIMEOUT_S"]
@@ -256,7 +257,7 @@ class _NodeClient:
             self._close_socket()
 
 
-class ClusterRouter:
+class ClusterRouter(RankingVerbs):
     """Routes engine requests across replicated :class:`EngineNode` s.
 
     Parameters
@@ -723,8 +724,11 @@ class ClusterRouter:
             groups.append((int(range_id), positions, users[positions]))
         return groups
 
-    def _matrix_request(self, kind: str, users, timeout: float | None,
-                        ) -> np.ndarray:
+    def masked_scores(self, users, timeout: float | None = None) -> np.ndarray:
+        """Seen-masked scores ``(B, num_items)`` across the cluster.
+
+        Answered only by nodes that serve a serial engine.
+        """
         users = self._as_user_array(users)
         self._bump("requests")
         deadline = self._deadline_for(timeout)
@@ -732,7 +736,7 @@ class ClusterRouter:
         if users.size == 0:
             return np.zeros((0, self.num_items), dtype=np.float64)
         for range_id, positions, ids in self._fan_out(users):
-            reply = self._range_request(range_id, kind, {},
+            reply = self._range_request(range_id, "masked_scores", {},
                                         {"users": ids}, deadline)
             scores = reply.array("scores")
             if out is None:
@@ -741,55 +745,19 @@ class ClusterRouter:
             out[positions] = scores
         return out
 
-    def score_all(self, users, timeout: float | None = None) -> np.ndarray:
-        """Raw scores ``(B, num_items)``, merged across the cluster."""
-        return self._matrix_request("score_all", users, timeout)
-
-    def masked_scores(self, users, timeout: float | None = None) -> np.ndarray:
-        """Seen-masked scores ``(B, num_items)`` across the cluster."""
-        return self._matrix_request("masked_scores", users, timeout)
-
-    def top_k(self, users, k: int, exclude_seen: bool | None = None,
-              timeout: float | None = None, mode: str | None = None,
-              n_probe: int | None = None,
-              candidate_multiplier: int | None = None) -> np.ndarray:
-        """Ranked top-``k`` ids per user, bit-identical to one engine.
+    def top_k_scored(self, users, k: int, exclude_seen: bool | None = None,
+                     timeout: float | None = None, mode: str | None = None,
+                     n_probe: int | None = None,
+                     candidate_multiplier: int | None = None,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Ranked top-``k`` ids per user and their float64 scores,
+        bit-identical to one engine.
 
         ``mode="ann"`` (with the optional ``n_probe`` /
         ``candidate_multiplier`` dial) selects the nodes' ANN candidate
         stage; the dial travels in the request meta, so mixed exact/ANN
         traffic over one connection is fine.
         """
-        if k < 1:
-            raise ValueError("k must be positive")
-        if mode not in (None, "exact", "ann"):
-            raise ValueError(f"mode must be 'exact' or 'ann', got {mode!r}")
-        users = self._as_user_array(users)
-        self._bump("requests")
-        deadline = self._deadline_for(timeout)
-        width = min(int(k), self.num_items)
-        ranked = np.empty((users.size, width), dtype=np.int64)
-        meta: dict = {"k": int(k)}
-        if exclude_seen is not None:
-            meta["exclude_seen"] = bool(exclude_seen)
-        if mode is not None:
-            meta["mode"] = mode
-        if n_probe is not None:
-            meta["n_probe"] = int(n_probe)
-        if candidate_multiplier is not None:
-            meta["candidate_multiplier"] = int(candidate_multiplier)
-        for range_id, positions, ids in self._fan_out(users):
-            reply = self._range_request(range_id, "top_k", meta,
-                                        {"users": ids}, deadline)
-            ranked[positions] = reply.array("ranked")
-        return ranked
-
-    def top_k_scored(self, users, k: int, exclude_seen: bool | None = None,
-                     timeout: float | None = None, mode: str | None = None,
-                     n_probe: int | None = None,
-                     candidate_multiplier: int | None = None,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`top_k` plus the (float64) scores of the returned items."""
         if k < 1:
             raise ValueError("k must be positive")
         if mode not in (None, "exact", "ann"):
@@ -815,36 +783,6 @@ class ClusterRouter:
             ranked[positions] = reply.array("ranked")
             scores[positions] = reply.array("scores")
         return ranked, scores
-
-    def recommend_batch(self, users, k: int = 10,
-                        timeout: float | None = None,
-                        ) -> list[list[Recommendation]]:
-        """Top-``k`` :class:`Recommendation` lists per user."""
-        if k < 1:
-            raise ValueError("k must be positive")
-        users = self._as_user_array(users)
-        self._bump("requests")
-        deadline = self._deadline_for(timeout)
-        results: list[list[Recommendation] | None] = [None] * users.size
-        for range_id, positions, ids in self._fan_out(users):
-            reply = self._range_request(range_id, "recommend_batch",
-                                        {"k": int(k)}, {"users": ids},
-                                        deadline)
-            items = reply.array("items")
-            scores = reply.array("scores")
-            for row, position in enumerate(positions):
-                results[int(position)] = [
-                    Recommendation(item=int(item), score=float(score),
-                                   rank=rank)
-                    for rank, (item, score)
-                    in enumerate(zip(items[row], scores[row]))
-                    if item >= 0
-                ]
-        return results
-
-    def recommend(self, user: int, k: int = 10) -> list[Recommendation]:
-        """Top-``k`` recommendations for one user."""
-        return self.recommend_batch([user], k)[0]
 
     # ------------------------------------------------------------------ #
     # Observe replication

@@ -52,16 +52,12 @@ class SampledRankingEvaluator:
         on long test sequences; ``None`` evaluates all of them.
     seed:
         Seed of the negative-sampling generator.
-    n_workers:
-        Fan the candidate scoring out over this many worker processes
-        (sharded by user range, bit-identical scores); ``<= 1`` keeps the
-        serial engine.
     """
 
     def __init__(self, split: DatasetSplit, ks: tuple[int, ...] = (5, 10),
                  num_negatives: int = 100,
                  max_test_items_per_user: int | None = None,
-                 seed: int = 0, batch_size: int = 256, n_workers: int = 0):
+                 seed: int = 0, batch_size: int = 256):
         if not ks or any(k < 1 for k in ks):
             raise ValueError("ks must contain positive cutoffs")
         if num_negatives < 1:
@@ -74,7 +70,6 @@ class SampledRankingEvaluator:
         self.max_test_items_per_user = max_test_items_per_user
         self.seed = seed
         self.batch_size = batch_size
-        self.n_workers = n_workers
         self._histories = split.train_plus_valid()
 
     # ------------------------------------------------------------------ #
@@ -126,34 +121,28 @@ class SampledRankingEvaluator:
             result.metrics = {name: 0.0 for name in metric_names}
             return result
 
-        from repro.parallel.sharded import make_scoring_engine
+        from repro.serving.engine import ScoringEngine
 
-        engine = make_scoring_engine(model, self._histories,
-                                     n_workers=self.n_workers,
-                                     exclude_seen=False,
-                                     micro_batch_size=self.batch_size,
-                                     copy_weights=False)
+        engine = ScoringEngine(model, self._histories, exclude_seen=False,
+                               micro_batch_size=self.batch_size,
+                               copy_weights=False)
         per_instance: dict[str, list[float]] = {name: [] for name in metric_names}
-
-        try:
-            for start in range(0, len(pairs), self.batch_size):
-                batch = pairs[start:start + self.batch_size]
-                users = np.asarray([user for user, _ in batch], dtype=np.int64)
-                scores = engine.score_all(users)
-                for row, (user, positive) in enumerate(batch):
-                    negatives = self._sample_negatives(user, rng)
-                    candidate_scores = scores[row, np.concatenate([[positive], negatives])]
-                    # Rank of the positive among the candidates (0 = best).
-                    rank = int((candidate_scores > candidate_scores[0]).sum())
-                    for k in self.ks:
-                        hit = 1.0 if rank < k else 0.0
-                        per_instance[f"HitRate@{k}"].append(hit)
-                        per_instance[f"NDCG@{k}"].append(
-                            1.0 / np.log2(rank + 2.0) if rank < k else 0.0
-                        )
-                    per_instance["MRR"].append(1.0 / (rank + 1.0))
-        finally:
-            engine.close()
+        for start in range(0, len(pairs), self.batch_size):
+            batch = pairs[start:start + self.batch_size]
+            users = np.asarray([user for user, _ in batch], dtype=np.int64)
+            scores = engine.score_all(users)
+            for row, (user, positive) in enumerate(batch):
+                negatives = self._sample_negatives(user, rng)
+                candidate_scores = scores[row, np.concatenate([[positive], negatives])]
+                # Rank of the positive among the candidates (0 = best).
+                rank = int((candidate_scores > candidate_scores[0]).sum())
+                for k in self.ks:
+                    hit = 1.0 if rank < k else 0.0
+                    per_instance[f"HitRate@{k}"].append(hit)
+                    per_instance[f"NDCG@{k}"].append(
+                        1.0 / np.log2(rank + 2.0) if rank < k else 0.0
+                    )
+                per_instance["MRR"].append(1.0 / (rank + 1.0))
 
         result.per_instance = {name: np.asarray(values) for name, values in per_instance.items()}
         result.metrics = {name: float(values.mean()) for name, values in result.per_instance.items()}

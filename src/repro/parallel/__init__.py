@@ -8,8 +8,8 @@ keeping the single-process results bit-for-bit reproducible:
   workers attach zero-copy views.
 * :class:`~repro.parallel.sharded.ShardedScoringEngine` — the frozen
   candidate table, cached padded inputs and CSR seen-item arrays are
-  shared once, and ``score_all`` /
-  ``masked_scores`` / ``top_k`` requests fan out to persistent workers
+  shared once, and ``top_k_scored`` requests (and the ``top_k`` /
+  ``recommend_batch`` verbs derived from it) fan out to persistent workers
   by user-range shard, bit-identical to the serial
   :class:`~repro.serving.engine.ScoringEngine`; ``observe()`` routes
   incremental updates to the owning worker (no snapshot rebuild).

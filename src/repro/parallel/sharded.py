@@ -8,8 +8,9 @@ seen-item arrays and the frozen candidate table — is published exactly
 once into a :class:`~repro.parallel.shm.SharedArena`; each worker
 attaches zero-copy views and wires them into a regular
 :meth:`ScoringEngine.from_snapshot` engine.  Because every worker runs
-the serial engine's own code on identical arrays, sharded ``score_all``
-/ ``masked_scores`` / ``top_k`` results are **bit-for-bit identical** to
+the serial engine's own code on identical arrays, sharded
+``top_k_scored`` answers (and the ``top_k`` / ``recommend_batch`` /
+``recommend`` verbs derived from it) are **bit-for-bit identical** to
 the single-process engine (asserted by the test suite and by
 ``bench/``'s reference check).
 
@@ -81,7 +82,7 @@ from repro.parallel.faults import FaultInjector, FaultPlan
 from repro.parallel.shm import ArenaLayout, SharedArena
 from repro.parallel.supervisor import RestartPolicy, ShardSupervisor
 from repro.retrieval.index import ANN_PREFIX, ANNIndex, RetrievalConfig
-from repro.serving.engine import ScoringEngine
+from repro.serving.engine import RankingVerbs, ScoringEngine
 
 __all__ = ["ShardedScoringEngine", "make_scoring_engine", "shard_bounds",
            "default_start_method", "DEFAULT_REQUEST_TIMEOUT_S"]
@@ -174,16 +175,8 @@ def _execute_request(engine: ScoringEngine, method: str, users,
     serial code path, which is what keeps degraded answers bit-identical
     to worker answers.
     """
-    if method == "score_all":
-        return engine.score_all(users)
-    if method == "masked_scores":
-        return engine.masked_scores(users)
-    if method == "top_k":
-        return engine.top_k(users, **kwargs)
     if method == "top_k_scored":
         return engine.top_k_scored(users, **kwargs)
-    if method == "recommend_batch":
-        return engine.recommend_batch(users, **kwargs)
     if method == "observe":
         # Shard-local incremental update: shifts the user's padded input
         # row (writable shm), extends their seen array and invalidates
@@ -277,7 +270,7 @@ class _PendingRequest:
     tag: object = None
 
 
-class ShardedScoringEngine:
+class ShardedScoringEngine(RankingVerbs):
     """Scoring engine sharded by user range over supervised workers.
 
     Parameters
@@ -831,10 +824,10 @@ class ShardedScoringEngine:
                 self._recover(pending, results, deadline)
         return results
 
-    def _fan_out(self, method: str, users: np.ndarray,
-                 kwargs: dict | None = None,
-                 timeout: float | None = None) -> list[tuple[np.ndarray, object]]:
-        """Send per-shard subsets, return ``(positions, payload)`` pairs.
+    def _fan_out(self, users: np.ndarray, kwargs: dict,
+                 timeout: float | None) -> list[tuple[np.ndarray, object]]:
+        """Send per-shard ``top_k_scored`` subsets, return ``(positions,
+        payload)`` pairs.
 
         Degraded shards are served inline by the in-process fallback;
         live shards go through the breaker gate, the task queues and the
@@ -842,7 +835,7 @@ class ShardedScoringEngine:
         """
         self._check_open()
         deadline = self._deadline_for(timeout)
-        kwargs = kwargs or {}
+        method = "top_k_scored"
         shard_ids = self.shard_of(users)
         merged: list[tuple[np.ndarray, object]] = []
         pending: dict[int, _PendingRequest] = {}
@@ -896,21 +889,6 @@ class ShardedScoringEngine:
             self._collect(pending, deadline)
         return self
 
-    def score_all(self, users, timeout: float | None = None) -> np.ndarray:
-        """Raw scores of every real item, ``(B, num_items)`` (bit-identical
-        to the serial engine on the same users)."""
-        if self._serial is not None:
-            return self._serial.score_all(users)
-        users = self._as_user_array(users)
-        return self._merge_matrix("score_all", users, None, timeout)
-
-    def masked_scores(self, users, timeout: float | None = None) -> np.ndarray:
-        """Scores with each user's seen items pushed to ``-inf``."""
-        if self._serial is not None:
-            return self._serial.masked_scores(users)
-        users = self._as_user_array(users)
-        return self._merge_matrix("masked_scores", users, None, timeout)
-
     @property
     def ann_index(self):
         """The shared ANN candidate index, or ``None`` (exact only)."""
@@ -918,44 +896,20 @@ class ShardedScoringEngine:
             return self._serial.ann_index
         return self._ann
 
-    def top_k(self, users, k: int, exclude_seen: bool | None = None,
-              timeout: float | None = None, mode: str | None = None,
-              n_probe: int | None = None,
-              candidate_multiplier: int | None = None) -> np.ndarray:
-        """Ranked ids of the top-``k`` items per user, best first.
-
-        ``mode`` / ``n_probe`` / ``candidate_multiplier`` select and
-        tune the ANN candidate stage exactly as on the serial
-        :meth:`~repro.serving.engine.ScoringEngine.top_k`; each worker
-        serves its shard through the same attached index, so sharded
-        ANN answers match the serial engine's on the same snapshot.
-        """
-        if k < 1:
-            raise ValueError("k must be positive")
-        if self._serial is not None:
-            return self._serial.top_k(users, k, exclude_seen=exclude_seen,
-                                      mode=mode, n_probe=n_probe,
-                                      candidate_multiplier=candidate_multiplier)
-        users = self._as_user_array(users)
-        width = min(k, self.num_items)
-        out = np.empty((users.size, width), dtype=np.int64)
-        if users.size == 0:
-            return out
-        for positions, rows in self._fan_out(
-                "top_k", users,
-                {"k": k, "exclude_seen": exclude_seen, "mode": mode,
-                 "n_probe": n_probe,
-                 "candidate_multiplier": candidate_multiplier},
-                timeout):
-            out[positions] = rows
-        return out
-
     def top_k_scored(self, users, k: int, exclude_seen: bool | None = None,
                      timeout: float | None = None, mode: str | None = None,
                      n_probe: int | None = None,
                      candidate_multiplier: int | None = None,
                      ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`top_k` plus the (float64) scores of the returned items."""
+        """Ranked top-``k`` ids per user and their float64 scores.
+
+        ``mode`` / ``n_probe`` / ``candidate_multiplier`` select and
+        tune the ANN candidate stage exactly as on the serial
+        :meth:`~repro.serving.engine.ScoringEngine.top_k_scored`; each
+        worker serves its shard through the same attached index, so
+        sharded ANN answers match the serial engine's on the same
+        snapshot.
+        """
         if k < 1:
             raise ValueError("k must be positive")
         if self._serial is not None:
@@ -969,7 +923,7 @@ class ShardedScoringEngine:
         if users.size == 0:
             return ranked, scores
         for positions, payload in self._fan_out(
-                "top_k_scored", users,
+                users,
                 {"k": k, "exclude_seen": exclude_seen, "mode": mode,
                  "n_probe": n_probe,
                  "candidate_multiplier": candidate_multiplier},
@@ -977,42 +931,6 @@ class ShardedScoringEngine:
             ranked[positions] = payload[0]
             scores[positions] = payload[1]
         return ranked, scores
-
-    def recommend(self, user: int, k: int = 10,
-                  timeout: float | None = None) -> list:
-        """Top-``k`` recommendations for one user."""
-        return self.recommend_batch([user], k, timeout=timeout)[0]
-
-    def recommend_batch(self, users, k: int = 10,
-                        timeout: float | None = None) -> list[list]:
-        """Top-``k`` :class:`~repro.serving.engine.Recommendation` lists.
-
-        Workers build their shard's recommendation entries locally and
-        only the ``k`` (item, score, rank) triples per user cross the
-        process boundary — never the full score matrix.
-        """
-        if k < 1:
-            raise ValueError("k must be positive")
-        if self._serial is not None:
-            return self._serial.recommend_batch(users, k)
-        users = self._as_user_array(users)
-        results: list = [None] * users.size
-        for positions, payload in self._fan_out("recommend_batch", users,
-                                                {"k": k}, timeout):
-            for position, recommendations in zip(positions, payload):
-                results[int(position)] = recommendations
-        return results
-
-    def _merge_matrix(self, method: str, users: np.ndarray,
-                      dtype, timeout: float | None = None) -> np.ndarray:
-        if users.size == 0:
-            return np.zeros((0, self.num_items), dtype=dtype or np.float64)
-        parts = self._fan_out(method, users, None, timeout)
-        first = parts[0][1]
-        out = np.empty((users.size, self.num_items), dtype=first.dtype)
-        for positions, rows in parts:
-            out[positions] = rows
-        return out
 
     # ------------------------------------------------------------------ #
     # Lifecycle

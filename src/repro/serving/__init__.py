@@ -9,8 +9,9 @@ on top of a trained model:
 * :class:`~repro.serving.engine.ScoringEngine` — a frozen snapshot of a
   trained model (candidate embedding table, item biases, per-user padded
   histories and cached representations, all materialized once under
-  ``no_grad``) that answers ``score_all`` / ``top_k`` /
-  ``recommend_batch`` requests with zero per-request re-embedding, plus
+  ``no_grad``) that answers ``top_k_scored`` requests (and the
+  ``top_k`` / ``recommend_batch`` verbs :class:`~repro.serving.engine.RankingVerbs`
+  derives from it) with zero per-request re-embedding, plus
   incremental ``observe(user, item)`` updates for session-style traffic.
 * :class:`~repro.serving.recommender.Recommender` — the original serving
   facade, now a thin wrapper over the engine.

@@ -21,9 +21,13 @@ matmul, one index-assignment mask and one top-k selection
 kernel on multi-row blocks, ``argpartition`` on single rows and small
 catalogues; score descending, ties by ascending item id) — no
 per-request padding, no Python ``set`` construction and no embedding
-forward pass.  ``top_k`` and ``recommend_batch`` process large user
-lists in ``micro_batch_size`` chunks so peak memory stays bounded by
+forward pass.  ``top_k_scored`` processes large user lists in
+``micro_batch_size`` chunks so peak memory stays bounded by
 ``micro_batch_size x num_items`` scores.
+
+``top_k_scored`` is the one ranking verb every backend implements (this
+engine, the sharded engine, the cluster router); :class:`RankingVerbs`
+derives ``top_k`` / ``recommend_batch`` / ``recommend`` from it once.
 
 Count-based models (Popularity, ItemKNN, MarkovChain) have no
 representation/embedding decomposition; for those the engine falls back
@@ -48,7 +52,7 @@ from repro.evaluation.ranking import top_k_items
 from repro.models.base import FrozenScorer, SequentialRecommender
 from repro.retrieval.index import ANNIndex, RetrievalConfig
 
-__all__ = ["Recommendation", "ScoringEngine"]
+__all__ = ["Recommendation", "RankingVerbs", "ScoringEngine", "recommendations"]
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,38 @@ class Recommendation:
     rank: int
 
 
-class ScoringEngine:
+def recommendations(ranked, scores) -> list[list[Recommendation]]:
+    """Per-user :class:`Recommendation` lists of ``top_k_scored`` rows."""
+    return [[Recommendation(item=int(item), score=float(score), rank=rank)
+             for rank, (item, score) in enumerate(zip(row_ids, row_scores))]
+            for row_ids, row_scores in zip(ranked, scores)]
+
+
+class RankingVerbs:
+    """``top_k`` / ``recommend_batch`` / ``recommend``, derived once.
+
+    A backend implements only ``top_k_scored(users, k, **kwargs) ->
+    (ranked, scores)``; every keyword (``exclude_seen``, ``mode``,
+    ``n_probe``, ``candidate_multiplier``, and ``timeout`` where the
+    backend takes one) is forwarded to it unchanged.
+    """
+
+    def top_k(self, users, k: int, **kwargs) -> np.ndarray:
+        """Ranked ids of the top-``k`` items per user, best first."""
+        return self.top_k_scored(users, k, **kwargs)[0]
+
+    def recommend_batch(self, users, k: int = 10,
+                        **kwargs) -> list[list[Recommendation]]:
+        """Top-``k`` :class:`Recommendation` lists, one per user."""
+        return recommendations(*self.top_k_scored(users, k, **kwargs))
+
+    def recommend(self, user: int, k: int = 10,
+                  **kwargs) -> list[Recommendation]:
+        """Top-``k`` recommendations for one user."""
+        return self.recommend_batch([user], k, **kwargs)[0]
+
+
+class ScoringEngine(RankingVerbs):
     """Frozen, batched scoring snapshot of a trained model.
 
     Parameters
@@ -73,10 +108,10 @@ class ScoringEngine:
     exclude_seen:
         Exclude items already present in a user's history from rankings
         (the paper's protocol).  Per-request overrides are available on
-        :meth:`top_k`.
+        :meth:`top_k_scored`.
     micro_batch_size:
         Users per chunk for the model forward and for the score matrix of
-        :meth:`top_k` / :meth:`recommend_batch`; keeps peak memory at
+        :meth:`top_k_scored`; keeps peak memory at
         ``micro_batch_size x num_items`` scores for large user lists.
         (:meth:`score_all` returns the full ``(B, num_items)`` matrix by
         contract, so its output necessarily scales with the request.)
@@ -583,10 +618,11 @@ class ScoringEngine:
         self._mask_seen(scores, users)
         return scores
 
-    def top_k(self, users, k: int, exclude_seen: bool | None = None,
-              mode: str | None = None, n_probe: int | None = None,
-              candidate_multiplier: int | None = None) -> np.ndarray:
-        """Ranked ids of the top-``k`` items per user, best first.
+    def top_k_scored(self, users, k: int, exclude_seen: bool | None = None,
+                     mode: str | None = None, n_probe: int | None = None,
+                     candidate_multiplier: int | None = None,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Ranked top-``k`` ids per user, best first, and their float64 scores.
 
         ``mode`` selects the retrieval stage: ``"exact"`` (the default)
         scores the full catalogue — large user lists are processed in
@@ -596,33 +632,8 @@ class ScoringEngine:
         re-ranks only those with exact scores; ``n_probe`` /
         ``candidate_multiplier`` override the index's dial defaults for
         this request (more probes → higher recall, more latency).
-        """
-        if k < 1:
-            raise ValueError("k must be positive")
-        if mode not in (None, "exact", "ann"):
-            raise ValueError(f"mode must be 'exact' or 'ann', got {mode!r}")
-        exclude = self.exclude_seen if exclude_seen is None else exclude_seen
-        users = self._as_user_array(users)
-        if mode == "ann":
-            return self._ann_top_k(users, k, exclude, n_probe,
-                                   candidate_multiplier)[0]
-        width = min(k, self.num_items)
-        ranked = np.empty((users.size, width), dtype=np.int64)
-        for start in range(0, users.size, self.micro_batch_size):
-            chunk = users[start:start + self.micro_batch_size]
-            scores = self.masked_scores(chunk) if exclude else self.score_all(chunk)
-            ranked[start:start + self.micro_batch_size] = top_k_items(scores, k)
-        return ranked
-
-    def top_k_scored(self, users, k: int, exclude_seen: bool | None = None,
-                     mode: str | None = None, n_probe: int | None = None,
-                     candidate_multiplier: int | None = None,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`top_k` plus the (float64) scores of the returned items.
-
-        The gateway serves every batch through this, so only ids and
-        scores leave the engine, never full score rows; seen items are
-        masked before ranking exactly as in :meth:`top_k`.
+        Seen items are masked to ``-inf`` before ranking, so only ids
+        and scores leave the engine, never full score rows.
         """
         if k < 1:
             raise ValueError("k must be positive")
@@ -644,41 +655,6 @@ class ScoringEngine:
             ranked[start:stop] = ids
             out_scores[start:stop] = scores[np.arange(ids.shape[0])[:, None], ids]
         return ranked, out_scores
-
-    # ------------------------------------------------------------------ #
-    # Request-level API
-    # ------------------------------------------------------------------ #
-    def recommend(self, user: int, k: int = 10) -> list[Recommendation]:
-        """Top-``k`` recommendations for one user."""
-        return self.recommend_batch([user], k)[0]
-
-    def recommend_batch(self, users, k: int = 10) -> list[list[Recommendation]]:
-        """Top-``k`` recommendations for several users at once."""
-        if k < 1:
-            raise ValueError("k must be positive")
-        users = self._as_user_array(users)
-        results: list[list[Recommendation]] = []
-        for start in range(0, users.size, self.micro_batch_size):
-            chunk = users[start:start + self.micro_batch_size]
-            scores = self.score_all(chunk)
-            if self.exclude_seen:
-                # Keep the raw scores readable for the Recommendation
-                # entries; the mask goes into a copy.
-                visible = np.array(scores, dtype=np.float64, copy=True)
-                self._mask_seen(visible, chunk)
-            else:
-                visible = scores
-            ranked = top_k_items(visible, k)
-            row_indices = np.arange(ranked.shape[0])[:, None]
-            ranked_scores = scores[row_indices, ranked]
-            results.extend(
-                [
-                    Recommendation(item=int(item), score=float(score), rank=rank)
-                    for rank, (item, score) in enumerate(zip(ranked[row], ranked_scores[row]))
-                ]
-                for row in range(ranked.shape[0])
-            )
-        return results
 
     def score(self, user: int, item: int) -> float:
         """The model score of one (user, candidate item) pair."""

@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.serving.cache import CacheStats, TopKCache
-from repro.serving.engine import Recommendation
+from repro.serving.engine import Recommendation, recommendations
 
 __all__ = ["GatewayFuture", "GatewayStats", "ServingGateway",
            "GatewayOverloadedError"]
@@ -149,11 +149,7 @@ class GatewayFuture:
         Scores are the engine's float64 ``top_k_scored`` scores, in
         exact and ANN mode alike.
         """
-        ranked = self.result(timeout)
-        return [
-            Recommendation(item=int(item), score=float(score), rank=rank)
-            for rank, (item, score) in enumerate(zip(ranked, self._scores))
-        ]
+        return recommendations([self.result(timeout)], [self._scores])[0]
 
 
 @dataclass(frozen=True)

@@ -241,14 +241,59 @@ def test_engine_node_parity_over_tcp_and_unix(tmp_path):
             hello = request_reply(node.address, "hello")
             assert hello.meta["num_users"] == NUM_USERS
             assert hello.meta["epoch"] == node.epoch
-            ranked = request_reply(node.address, "top_k", {"k": 5},
+            ranked = request_reply(node.address, "top_k_scored", {"k": 5},
                                    {"users": ALL_USERS}).array("ranked")
-            scores = request_reply(node.address, "score_all", {},
+            scores = request_reply(node.address, "masked_scores", {},
                                    {"users": ALL_USERS}).array("scores")
             health = request_reply(node.address, "health").meta["health"]
         assert np.array_equal(ranked, expected)
-        assert np.array_equal(scores, serial.score_all(ALL_USERS))
+        assert np.array_equal(scores, serial.masked_scores(ALL_USERS))
         assert health["healthy"] is True
+
+
+def test_engine_node_answers_only_the_remaining_verbs():
+    """The derived verbs never reach the wire: a node answers them with
+    an ``unknown verb`` error and keeps serving the same connection."""
+    from repro.cluster.node import _connect
+
+    model, histories = _workload()
+    serial = _serial_engine(model, histories)
+    with EngineNode(_serial_engine(model, histories),
+                    own_engine=True) as node:
+        sock = _connect(node.address, 10.0)
+        try:
+            for verb in ("top_k", "score_all", "recommend_batch"):
+                send_frame(sock, verb, {"k": 5, "rid": verb},
+                           {"users": ALL_USERS})
+                reply = recv_frame(sock)
+                assert reply.kind == "error"
+                assert reply.meta["rid"] == verb
+                assert reply.meta["message"] == f"unknown verb {verb!r}"
+            send_frame(sock, "top_k_scored", {"k": 5}, {"users": ALL_USERS})
+            reply = recv_frame(sock)
+        finally:
+            sock.close()
+    assert reply.kind == "ok"
+    ranked, scores = serial.top_k_scored(ALL_USERS, 5)
+    assert np.array_equal(reply.array("ranked"), ranked)
+    assert np.array_equal(reply.array("scores"), scores)
+
+
+def test_masked_scores_verb_needs_a_serial_engine():
+    from repro.parallel.sharded import ShardedScoringEngine
+
+    model, histories = _workload()
+    engine = ShardedScoringEngine(model, histories, n_workers=2)
+    with EngineNode(engine, own_engine=True) as node:
+        with pytest.raises(RuntimeError,
+                           match="masked_scores requires a serial ScoringEngine"):
+            request_reply(node.address, "masked_scores", {},
+                          {"users": ALL_USERS})
+        # The node keeps serving the verb every backend implements.
+        ranked = request_reply(node.address, "top_k_scored", {"k": 5},
+                               {"users": ALL_USERS}).array("ranked")
+    assert np.array_equal(ranked,
+                          _serial_engine(model, histories).top_k(ALL_USERS, 5))
 
 
 def test_engine_node_drain_verb_refuses_new_work():
@@ -275,7 +320,7 @@ def test_from_peer_snapshot_carries_observes():
                           {"user": user, "item": item})
             serial.observe(user, item)
         with EngineNode.from_peer(node.address) as clone:
-            ranked = request_reply(clone.address, "top_k", {"k": 5},
+            ranked = request_reply(clone.address, "top_k_scored", {"k": 5},
                                    {"users": ALL_USERS}).array("ranked")
     assert np.array_equal(ranked, serial.top_k(ALL_USERS, 5))
 
@@ -299,7 +344,7 @@ def test_from_arena_serves_zero_copy_snapshot():
     arena = SharedArena.publish(arrays, writable_keys={"inputs"})
     try:
         with EngineNode.from_arena(model, arena.layout) as node:
-            ranked = request_reply(node.address, "top_k", {"k": 5},
+            ranked = request_reply(node.address, "top_k_scored", {"k": 5},
                                    {"users": ALL_USERS}).array("ranked")
         assert np.array_equal(ranked, serial.top_k(ALL_USERS, 5))
     finally:
@@ -309,6 +354,42 @@ def test_from_arena_serves_zero_copy_snapshot():
 # ---------------------------------------------------------------------- #
 # ClusterRouter: parity, observes, failover under injected faults
 # ---------------------------------------------------------------------- #
+def test_recommend_agrees_across_backends_when_k_exceeds_unseen():
+    """User 0 has seen 10 of 12 items, so ``recommend(0, 5)`` must fill
+    its tail with seen items.  Every backend masks them to ``-inf``
+    before ranking and reports the masked score, so all four lists are
+    identical and score-sorted."""
+    from repro.parallel.sharded import ShardedScoringEngine
+
+    num_users, num_items = 4, 12
+    rng = np.random.default_rng(3)
+    model = create_model("HAMs_m", num_users, num_items,
+                         rng=np.random.default_rng(1),
+                         embedding_dim=8, n_h=4, n_l=2)
+    histories = [list(range(10))] + [
+        rng.integers(0, num_items, size=6).tolist()
+        for _ in range(num_users - 1)]
+    expected = ScoringEngine(model, histories).recommend(0, 5)
+    with ShardedScoringEngine(model, histories, n_workers=2) as sharded:
+        assert sharded.is_parallel
+        assert sharded.recommend(0, 5) == expected
+    nodes = [EngineNode(ScoringEngine(model, histories), own_engine=True,
+                        node_index=index) for index in range(2)]
+    try:
+        with ClusterRouter([node.address for node in nodes],
+                           heartbeat_interval_s=0.0) as router:
+            assert router.recommend(0, 5) == expected
+    finally:
+        for node in nodes:
+            node.close()
+    with ServingGateway(ScoringEngine(model, histories),
+                        own_engine=True) as gateway:
+        assert gateway.recommend(0, 5) == expected
+    assert sorted(entry.item for entry in expected[:2]) == [10, 11]
+    assert [(entry.item, entry.score, entry.rank) for entry in expected[2:]] \
+        == [(0, -np.inf, 2), (1, -np.inf, 3), (2, -np.inf, 4)]
+
+
 def test_router_parity_and_observe_replication(tmp_path):
     model, histories = _workload()
     serial = _serial_engine(model, histories)
@@ -540,7 +621,7 @@ def test_sigkill_failover_and_epoch_fenced_rejoin(tmp_path):
         assert np.array_equal(router.top_k(ALL_USERS, 5),
                               serial.top_k(ALL_USERS, 5))
         # And the rejoined node answers for itself, observes included.
-        ranked = request_reply(handles[0].address, "top_k", {"k": 5},
+        ranked = request_reply(handles[0].address, "top_k_scored", {"k": 5},
                                {"users": ALL_USERS}).array("ranked")
         assert np.array_equal(ranked, serial.top_k(ALL_USERS, 5))
     finally:

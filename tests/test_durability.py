@@ -385,7 +385,7 @@ def test_engine_node_journal_restores_observes_across_restart(tmp_path):
                     bind=f"unix:{tmp_path}/node.sock",
                     journal_dir=str(journal)) as node:
         assert node.stats()["journal_replayed"] == len(observed)
-        ranked = request_reply(node.address, "top_k", {"k": 5},
+        ranked = request_reply(node.address, "top_k_scored", {"k": 5},
                                {"users": ALL_USERS}).array("ranked")
     assert np.array_equal(ranked, mirror.top_k(ALL_USERS, 5))
 
@@ -407,7 +407,7 @@ def test_engine_node_dedups_sequence_replay(tmp_path):
         stats = node.stats()
         assert stats["applied_seq"] == 4
         assert stats["observes_deduped"] == 1
-        ranked = request_reply(node.address, "top_k", {"k": 5},
+        ranked = request_reply(node.address, "top_k_scored", {"k": 5},
                                {"users": ALL_USERS}).array("ranked")
     assert np.array_equal(ranked, mirror.top_k(ALL_USERS, 5))
 
@@ -497,7 +497,7 @@ def test_router_killed_midstream_replays_wal_to_fresh_nodes(tmp_path):
             assert all(entry["rejoins"] >= 1 for entry in health["nodes"])
             # And each fresh node answers for itself, observes included.
             for node in nodes:
-                ranked = request_reply(node.address, "top_k", {"k": 5},
+                ranked = request_reply(node.address, "top_k_scored", {"k": 5},
                                        {"users": ALL_USERS}).array("ranked")
                 assert np.array_equal(ranked, serial.top_k(ALL_USERS, 5))
     finally:
