@@ -15,8 +15,12 @@ Two hot-path properties:
   :class:`~repro.autograd.sparse.IndexedRows` (embedding lookups under
   :func:`~repro.autograd.sparse.sparse_embedding_grads`), only the
   looked-up rows of the parameter — and of its optimizer state — are
-  touched ("lazy" updates, like ``torch.optim.SparseAdam``).  Weight
-  decay is then also applied lazily to just those rows.
+  touched ("lazy" updates, like ``torch.optim.SparseAdam``).  The
+  coalesced gradient's rows are gathered once per table (the parameter
+  and each state buffer, with ``np.take``), weight decay is computed
+  from the gathered parameter rows, the update runs in place on those
+  row blocks, and each block is scattered back once.  The cost of a step is proportional to
+  the touched rows, not to the table.
 """
 
 from __future__ import annotations
@@ -56,10 +60,17 @@ class Optimizer:
                 continue
             if isinstance(grad, IndexedRows):
                 coalesced = grad.coalesce()
+                indices = coalesced.indices
+                param_rows = np.take(param.data, indices, axis=0)
                 rows = coalesced.rows
                 if self.weight_decay:
-                    rows = rows + self.weight_decay * param.data[coalesced.indices]
-                self._sparse_step(index, param, coalesced.indices, rows)
+                    # rows + decay * param_rows; IEEE addition commutes
+                    # bitwise, so adding in place to the product is exact.
+                    decayed = np.multiply(param_rows,
+                                          param.data.dtype.type(self.weight_decay))
+                    decayed += rows
+                    rows = decayed
+                self._sparse_step(index, param, indices, param_rows, rows)
             else:
                 self._dense_step(index, param, grad)
 
@@ -70,9 +81,13 @@ class Optimizer:
         raise NotImplementedError
 
     def _sparse_step(self, index: int, param: Parameter, indices: np.ndarray,
-                     rows: np.ndarray) -> None:
-        """Update only ``param.data[indices]``; ``rows`` already includes
-        (lazy) weight decay."""
+                     param_rows: np.ndarray, rows: np.ndarray) -> None:
+        """Update only ``param.data[indices]``.
+
+        ``indices`` are unique; ``param_rows`` is a fresh gather of
+        ``param.data[indices]`` that the step may update in place and
+        scatter back; ``rows`` is the gradient with (lazy) weight decay
+        already added and must not be modified."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
@@ -137,7 +152,7 @@ class SGD(Optimizer):
             param.data -= scratch
 
     def _sparse_step(self, index: int, param: Parameter, indices: np.ndarray,
-                     rows: np.ndarray) -> None:
+                     param_rows: np.ndarray, rows: np.ndarray) -> None:
         if self.momentum:
             # Momentum couples every row across steps; densify and run the
             # velocity update directly.  ``rows`` already carries the
@@ -150,7 +165,9 @@ class SGD(Optimizer):
             np.multiply(velocity, param.data.dtype.type(self.lr), out=scratch)
             param.data -= scratch
             return
-        param.data[indices] -= self.lr * rows
+        # param -= lr * grad
+        param_rows -= np.multiply(rows, param.data.dtype.type(self.lr))
+        param.data[indices] = param_rows
 
 
 class Adam(Optimizer):
@@ -217,21 +234,35 @@ class Adam(Optimizer):
         param.data -= numerator
 
     def _sparse_step(self, index: int, param: Parameter, indices: np.ndarray,
-                     rows: np.ndarray) -> None:
+                     param_rows: np.ndarray, rows: np.ndarray) -> None:
         bias1, bias2 = self._bias_corrections()
         m = self._state_for(self._m, index, param)
         v = self._state_for(self._v, index, param)
-        m_rows = m[indices]
-        m_rows *= self.beta1
-        m_rows += (1.0 - self.beta1) * rows
+        dtype = param.data.dtype.type
+        # Lazy Adam folds lr / bias1 into one scalar where the dense step
+        # divides by bias1 first, so the two agree to rounding, not bits.
+        # m = beta1 * m + (1 - beta1) * grad
+        m_rows = np.take(m, indices, axis=0)
+        m_rows *= dtype(self.beta1)
+        buf = np.multiply(rows, dtype(1.0 - self.beta1))
+        m_rows += buf
         m[indices] = m_rows
-        v_rows = v[indices]
-        v_rows *= self.beta2
-        v_rows += (1.0 - self.beta2) * rows * rows
+        # v = beta2 * v + ((1 - beta2) * grad) * grad
+        v_rows = np.take(v, indices, axis=0)
+        v_rows *= dtype(self.beta2)
+        np.multiply(rows, dtype(1.0 - self.beta2), out=buf)
+        buf *= rows
+        v_rows += buf
         v[indices] = v_rows
-        denom = np.sqrt(v_rows / bias2)
-        denom += self.eps
-        param.data[indices] -= (self.lr / bias1) * m_rows / denom
+        # param -= ((lr / bias1) * m) / (sqrt(v / bias2) + eps); m_rows is
+        # stored already, so it holds the numerator.
+        np.divide(v_rows, dtype(bias2), out=buf)
+        np.sqrt(buf, out=buf)
+        buf += dtype(self.eps)
+        m_rows *= dtype(self.lr / bias1)
+        m_rows /= buf
+        param_rows -= m_rows
+        param.data[indices] = param_rows
 
 
 class Adagrad(Optimizer):
@@ -250,12 +281,22 @@ class Adagrad(Optimizer):
         param.data -= self.lr * grad / (np.sqrt(accum) + self.eps)
 
     def _sparse_step(self, index: int, param: Parameter, indices: np.ndarray,
-                     rows: np.ndarray) -> None:
+                     param_rows: np.ndarray, rows: np.ndarray) -> None:
         accum = self._state_for(self._accum, index, param)
-        accum_rows = accum[indices]
-        accum_rows += rows * rows
+        dtype = param.data.dtype.type
+        # accum += grad * grad
+        accum_rows = np.take(accum, indices, axis=0)
+        buf = np.multiply(rows, rows)
+        accum_rows += buf
         accum[indices] = accum_rows
-        param.data[indices] -= self.lr * rows / (np.sqrt(accum_rows) + self.eps)
+        # param -= (lr * grad) / (sqrt(accum) + eps); accum_rows is stored
+        # already, so it holds the denominator.
+        np.sqrt(accum_rows, out=accum_rows)
+        accum_rows += dtype(self.eps)
+        np.multiply(rows, dtype(self.lr), out=buf)
+        buf /= accum_rows
+        param_rows -= buf
+        param.data[indices] = param_rows
 
 
 def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:

@@ -16,9 +16,22 @@ identical to the legacy dense scatters.
 :func:`~repro.autograd.tensor.Tensor.take_rows` emits ``IndexedRows``
 for leaf parameters while the :func:`sparse_embedding_grads` context is
 active; the optimizers in :mod:`repro.autograd.optim` consume the
-:meth:`coalesce`-d form (sort + ``np.add.reduceat`` segment sum — far
-cheaper than ``np.add.at``) so an update step also only touches the
+:meth:`coalesce`-d form, so an update step also only touches the
 looked-up rows.
+
+:meth:`coalesce` is the optimizer's hot spot, and its output is a
+byte-identity contract: the unique indices in ascending order, each
+with the ``np.add.reduceat`` sum of its contributions in occurrence
+order, exactly as a stable ``argsort`` plus one ``reduceat`` over every
+segment would produce.  It meets the contract at a fraction of that
+cost by copying rows looked up once straight to the output, adding the
+two rows of a row looked up twice with one vectorised add (the single
+addition ``reduceat`` performs for such a segment), and running
+``reduceat`` only over a compacted array of the rows looked up three or
+more times.  ``reduceat`` stays for those: it sums a segment as
+``r0 + (r1 + ...)`` with pairwise blocks past 8 rows, so any other
+kernel (sequential passes, ``np.add.at``) changes float32 bits on such
+rows, while the same kernel over the same segment contents does not.
 """
 
 from __future__ import annotations
@@ -134,31 +147,51 @@ class IndexedRows:
     def coalesce(self) -> "IndexedRows":
         """Unique indices with duplicate contributions segment-summed.
 
-        Implemented as sort + ``np.add.reduceat`` rather than
-        ``np.add.at`` (whose per-element ufunc dispatch would cost nearly
-        as much as the dense scatter this class exists to avoid).  The
-        result owns fresh arrays, so in-place scaling (gradient clipping,
-        learning-rate application) cannot alias graph buffers.  Already
-        coalesced gradients (e.g. stored back by clip_grad_norm) are
-        returned as-is.
+        The result is byte-identical to the unique indices of a stable
+        ``argsort`` with ``np.add.reduceat`` over every segment (see the
+        module docstring).  The stable order comes from one sort of the
+        unique key ``index * nnz + position``, which is cheaper than a
+        stable ``argsort``; rows looked up once are gathered directly,
+        pairs are summed with one vectorised add, and ``reduceat`` runs
+        only over a compacted array of the longer segments
+        (``np.add.at`` is not an option: besides changing bits, its
+        per-element dispatch costs nearly as much as the dense scatter
+        this class exists to avoid).  The result owns fresh arrays, so
+        in-place scaling (gradient clipping) cannot alias graph buffers.
+        Already coalesced gradients (e.g. stored back by clip_grad_norm)
+        are returned as-is.
         """
         if self._coalesced:
             return self
         indices = self.indices
         rows = self.rows
-        if indices.shape[0] == 0:
+        n = indices.shape[0]
+        if n == 0:
             out = IndexedRows(indices, np.array(rows, copy=True), self.shape)
             out._coalesced = True
             return out
-        order = np.argsort(indices, kind="stable")
+        # The keys are distinct, so any sort yields the stable order; they
+        # fit in int64 for every table that fits in memory
+        # (num_rows * nnz < 2**63).
+        order = np.sort(indices * n + np.arange(n)) % n
         sorted_indices = indices[order]
-        boundaries = np.empty(sorted_indices.shape[0], dtype=bool)
+        boundaries = np.empty(n, dtype=bool)
         boundaries[0] = True
         np.not_equal(sorted_indices[1:], sorted_indices[:-1], out=boundaries[1:])
         starts = np.flatnonzero(boundaries)
-        unique = sorted_indices[starts]
-        summed = np.add.reduceat(rows[order], starts, axis=0)
-        out = IndexedRows(unique, summed, self.shape)
+        summed = rows.take(order[starts], axis=0)
+        if starts.shape[0] < n:
+            sizes = np.diff(starts, append=n)
+            # reduceat sums a two-row segment as r0 + r1, exactly this add.
+            pairs = np.flatnonzero(sizes == 2)
+            summed[pairs] += rows.take(order[starts[pairs] + 1], axis=0)
+            longer = sizes > 2
+            if longer.any():
+                longer_sizes = sizes[longer]
+                compact = rows.take(order[np.repeat(longer, sizes)], axis=0)
+                summed[longer] = np.add.reduceat(
+                    compact, np.cumsum(longer_sizes) - longer_sizes, axis=0)
+        out = IndexedRows(sorted_indices[starts], summed, self.shape)
         out._coalesced = True
         return out
 
@@ -203,9 +236,3 @@ class IndexedRows:
         """Scale every contribution in place (gradient clipping)."""
         for _, rows in self._chunks:
             rows *= factor
-
-    def sum_of_squares(self) -> float:
-        """``sum(grad ** 2)`` of the equivalent dense gradient."""
-        coalesced = self.coalesce()
-        flat = coalesced.rows.reshape(-1)
-        return float(flat @ flat)

@@ -81,7 +81,9 @@ def test_claim_needs_nine_wins_in_ten_and_a_gain_beyond_refs_quartiles():
 def test_make_bench_compare_forwards_workloads_pairs_and_claim():
     def recipe(*variables: str) -> str:
         done = subprocess.run(
-            ["make", "-n", "bench-compare", *variables],
+            # --no-print-directory: under a parent make (make test)
+            # the sub-make would print "Leaving directory" last.
+            ["make", "-n", "--no-print-directory", "bench-compare", *variables],
             cwd=Path(__file__).resolve().parents[1],
             stdout=subprocess.PIPE, text=True, check=True)
         return " ".join(done.stdout.splitlines()[-1].split())
