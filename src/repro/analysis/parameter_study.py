@@ -89,6 +89,12 @@ def run_parameter_study(dataset: str, setting: str = "80-20-CUT",
     data = load_benchmark(dataset, scale=scale)
     split = split_setting(data, setting)
     base = default_model_hyperparameters(method, dataset, setting)
+    default_n_p = default_training_config(num_epochs=epochs, dataset=dataset,
+                                          setting=setting, seed=seed).n_p
+    # A one-at-a-time sweep revisits the base configuration once per
+    # parameter.  Training and evaluation are deterministic given the seed,
+    # so each distinct (configuration, n_p) is run once and its row reused.
+    measured: dict[tuple, tuple[float, float]] = {}
 
     rows: list[ParameterStudyRow] = []
     for parameter, values in sweep.items():
@@ -110,9 +116,12 @@ def run_parameter_study(dataset: str, setting: str = "80-20-CUT",
                     dim = config.get("embedding_dim", 32)
                     if dim % value != 0:
                         config["embedding_dim"] = (dim // value + 1) * value
-            recall5, recall10 = _evaluate_configuration(
-                method, config, split, dataset, setting, epochs, seed, n_p=n_p,
-            )
+            key = (tuple(sorted(config.items())), default_n_p if n_p is None else n_p)
+            if key not in measured:
+                measured[key] = _evaluate_configuration(
+                    method, config, split, dataset, setting, epochs, seed, n_p=n_p,
+                )
+            recall5, recall10 = measured[key]
             rows.append(ParameterStudyRow(
                 parameter=parameter, value=int(value), config=config,
                 recall_at_5=recall5, recall_at_10=recall10,

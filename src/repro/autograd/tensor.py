@@ -303,8 +303,8 @@ class Tensor:
 
         def backward(grad):
             return (
-                _unbroadcast(grad, self.shape),
-                _unbroadcast(grad, other_t.shape),
+                _unbroadcast(grad, self.shape) if self.requires_grad else None,
+                _unbroadcast(grad, other_t.shape) if other_t.requires_grad else None,
             )
 
         return self._make_child(data, (self, other_t), backward)
@@ -325,8 +325,8 @@ class Tensor:
 
         def backward(grad):
             return (
-                _unbroadcast(grad, self.shape),
-                _unbroadcast(-grad, other_t.shape),
+                _unbroadcast(grad, self.shape) if self.requires_grad else None,
+                _unbroadcast(-grad, other_t.shape) if other_t.requires_grad else None,
             )
 
         return self._make_child(data, (self, other_t), backward)
@@ -341,8 +341,9 @@ class Tensor:
 
         def backward(grad):
             return (
-                _unbroadcast(grad * other_data, self.shape),
-                _unbroadcast(grad * self_data, other_t.shape),
+                _unbroadcast(grad * other_data, self.shape) if self.requires_grad else None,
+                _unbroadcast(grad * self_data, other_t.shape)
+                if other_t.requires_grad else None,
             )
 
         return self._make_child(data, (self, other_t), backward)
@@ -356,8 +357,9 @@ class Tensor:
 
         def backward(grad):
             return (
-                _unbroadcast(grad / other_data, self.shape),
-                _unbroadcast(-grad * self_data / (other_data ** 2), other_t.shape),
+                _unbroadcast(grad / other_data, self.shape) if self.requires_grad else None,
+                _unbroadcast(-grad * self_data / (other_data ** 2), other_t.shape)
+                if other_t.requires_grad else None,
             )
 
         return self._make_child(data, (self, other_t), backward)
@@ -522,15 +524,19 @@ class Tensor:
         a, b = self.data, other_t.data
 
         def backward(grad):
+            grad_a = grad_b = None
             if a.ndim == 2 and b.ndim == 2:
-                return (grad @ b.T, a.T @ grad)
+                if self.requires_grad:
+                    grad_a = grad @ b.T
+                if other_t.requires_grad:
+                    grad_b = a.T @ grad
+                return (grad_a, grad_b)
             # Batched matmul: contract over the batch dimensions.
-            grad_a = grad @ np.swapaxes(b, -1, -2)
-            grad_b = np.swapaxes(a, -1, -2) @ grad
-            return (
-                _unbroadcast(grad_a, self.shape),
-                _unbroadcast(grad_b, other_t.shape),
-            )
+            if self.requires_grad:
+                grad_a = _unbroadcast(grad @ np.swapaxes(b, -1, -2), self.shape)
+            if other_t.requires_grad:
+                grad_b = _unbroadcast(np.swapaxes(a, -1, -2) @ grad, other_t.shape)
+            return (grad_a, grad_b)
 
         return self._make_child(data, (self, other_t), backward)
 
@@ -585,10 +591,20 @@ class Tensor:
         data = self.data[index]
         input_shape = self.shape
         dtype = self.data.dtype
+        # A basic index (ints, slices, ``...``, ``None``) selects every
+        # element at most once, so a plain in-place add scatters the same
+        # sums as the unbuffered ``np.add.at`` that repeated fancy indices
+        # need, at a fraction of its cost.
+        parts = index if isinstance(index, tuple) else (index,)
+        basic = all(part is None or part is Ellipsis
+                    or isinstance(part, (int, np.integer, slice)) for part in parts)
 
         def backward(grad):
             full = np.zeros(input_shape, dtype=dtype)
-            np.add.at(full, index, grad)
+            if basic:
+                full[index] += grad
+            else:
+                np.add.at(full, index, grad)
             return (full,)
 
         return self._make_child(data, (self,), backward)

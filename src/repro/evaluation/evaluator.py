@@ -11,16 +11,12 @@ evaluable users, exactly as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from repro.data.splits import DatasetSplit
-from repro.evaluation.metrics import (
-    batch_hits,
-    batch_ndcg_at_k,
-    batch_recall_at_k,
-    truth_matrix,
-)
+from repro.evaluation.metrics import batch_ndcg_at_k, batch_recall_at_k
 from repro.models.base import SequentialRecommender
 
 __all__ = ["RankingEvaluator", "EvaluationResult"]
@@ -90,6 +86,29 @@ class RankingEvaluator:
             self._histories = split.train
             self._targets = split.valid
         self._users = [u for u, target in enumerate(self._targets) if target]
+        self._target_keys, self._target_counts = self._index_targets()
+
+    def _index_targets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted keys ``row * num_items + item`` of every evaluable user's
+        unique targets (``row`` = position in ``_users``), and the number
+        of unique targets per row.
+
+        Raises ``ValueError`` for a target id outside the catalogue: it
+        would otherwise alias a neighbouring row's key.
+        """
+        num_items = self.split.num_items
+        lengths = np.fromiter((len(self._targets[user]) for user in self._users),
+                              dtype=np.int64, count=len(self._users))
+        items = np.fromiter(chain.from_iterable(self._targets[user] for user in self._users),
+                            dtype=np.int64, count=int(lengths.sum()))
+        rows = np.repeat(np.arange(len(self._users), dtype=np.int64), lengths)
+        invalid = np.flatnonzero((items < 0) | (items >= num_items))
+        if invalid.size:
+            position = invalid[0]
+            raise ValueError(f"user {self._users[rows[position]]} has target item id "
+                             f"{int(items[position])} outside [0, {num_items})")
+        keys = np.unique(rows * num_items + items)
+        return keys, np.bincount(keys // num_items, minlength=len(self._users))
 
     @property
     def num_evaluable_users(self) -> int:
@@ -100,14 +119,21 @@ class RankingEvaluator:
         """Compute Recall@k and NDCG@k for ``model`` on this split.
 
         Scoring funnels through one :class:`~repro.serving.engine.ScoringEngine`
-        (cached padded histories, vectorized seen-item masking) and the
-        per-user metrics are aggregated vectorized over the ranked-id
-        matrix — no per-user Python loop.  With ``n_workers > 1`` the
+        (cached padded histories, vectorized seen-item masking) and one
+        ``top_k`` over every evaluable user.  Hits are one key lookup of
+        the ``(users, max k)`` ranked-id matrix in the sorted target keys
+        built at construction — no dense ``(users, num_items)`` truth
+        matrix and no per-user Python loop.  With ``n_workers > 1`` the
         sweep is sharded by user range over worker processes
         (bit-identical results, see :mod:`repro.parallel`).
         """
         from repro.parallel.sharded import make_scoring_engine
 
+        if model.num_items > self.split.num_items:
+            # A ranked id past the split's catalogue would alias the next
+            # row's target keys.
+            raise ValueError(f"model ranks {model.num_items} items but the split "
+                             f"has {self.split.num_items}")
         model.eval()
         result = EvaluationResult(num_users_evaluated=len(self._users))
         if not self._users:
@@ -125,27 +151,20 @@ class RankingEvaluator:
             engine.close()
 
     def _evaluate_with_engine(self, engine, result: EvaluationResult) -> EvaluationResult:
-        max_k = max(self.ks)
-        per_user: dict[str, list[np.ndarray]] = {
-            f"{metric}@{k}": [] for metric in ("Recall", "NDCG") for k in self.ks
-        }
-
         # One top_k call over all evaluable users: the serial engine chunks
         # by micro_batch_size internally and the sharded engine fans the
         # whole sweep out to its workers in one round trip.
-        ranked_all = engine.top_k(self._users, max_k)
-        for start in range(0, len(self._users), self.batch_size):
-            batch_users = self._users[start:start + self.batch_size]
-            ranked = ranked_all[start:start + self.batch_size]
-            truth = truth_matrix([self._targets[user] for user in batch_users],
-                                 self.split.num_items)
-            hits = batch_hits(ranked, truth)
-            truth_counts = truth.sum(axis=1)
-            for k in self.ks:
-                per_user[f"Recall@{k}"].append(batch_recall_at_k(hits, truth_counts, k))
-                per_user[f"NDCG@{k}"].append(batch_ndcg_at_k(hits, truth_counts, k))
-
-        result.per_user = {name: np.concatenate(values) for name, values in per_user.items()}
+        ranked = engine.top_k(self._users, max(self.ks))
+        rows = np.arange(len(self._users), dtype=np.int64)[:, None]
+        probes = rows * self.split.num_items + ranked
+        keys = self._target_keys
+        found = np.minimum(np.searchsorted(keys, probes), keys.size - 1)
+        hits = keys[found] == probes
+        result.per_user = {
+            f"{name}@{k}": metric(hits, self._target_counts, k)
+            for name, metric in (("Recall", batch_recall_at_k), ("NDCG", batch_ndcg_at_k))
+            for k in self.ks
+        }
         result.metrics = {name: float(values.mean()) for name, values in result.per_user.items()}
         return result
 

@@ -92,7 +92,10 @@ def truth_matrix(targets: Sequence[Sequence[int]], num_items: int) -> np.ndarray
     """Boolean ``(B, num_items)`` membership matrix of the target items.
 
     Duplicate target items collapse to one entry, matching the ``set``
-    semantics of the scalar metrics above.
+    semantics of the scalar metrics above.  Only ``bench/offline.py``'s
+    ``evaluation.metrics_s`` probe and the tests' dense reference call
+    this and :func:`batch_hits`; the ranking evaluator looks its hits up
+    in sorted target keys instead.
     """
     truth = np.zeros((len(targets), num_items), dtype=bool)
     for row, items in enumerate(targets):
@@ -107,6 +110,7 @@ def batch_hits(ranked: np.ndarray, truth: np.ndarray) -> np.ndarray:
     ``ranked`` is a ``(B, K)`` matrix of recommended item ids (best first,
     e.g. from :func:`~repro.evaluation.ranking.top_k_items`) and ``truth``
     a ``(B, num_items)`` membership matrix from :func:`truth_matrix`.
+    Reached only by ``bench/offline.py``'s metric probe and the tests.
     """
     rows = np.arange(ranked.shape[0])[:, None]
     return truth[rows, ranked]

@@ -67,6 +67,7 @@ restart counts and the shed/stale/deadline counters.
 from __future__ import annotations
 
 import multiprocessing as mp
+import multiprocessing.connection as mp_connection
 import queue as queue_module
 import time
 import traceback
@@ -96,6 +97,10 @@ DEFAULT_REQUEST_TIMEOUT_S = 120.0
 #: worker deaths and deadline expiries are noticed promptly, long enough
 #: to stay off the profile.
 _POLL_INTERVAL_S = 0.05
+
+#: Upper bound on how long close() waits for the workers to exit by
+#: themselves (draining their results meanwhile) before terminating them.
+_SHUTDOWN_WAIT_S = 10.0
 
 
 def make_scoring_engine(model, histories, n_workers: int = 0,
@@ -961,11 +966,16 @@ def _cleanup(arena: SharedArena | None, workers: list, task_queues: list,
              result_queues: list = ()) -> None:
     """Shutdown path shared by close() and the GC finalizer.
 
-    After an error a worker may still be flushing a large pending result
-    into its queue, so the parent drains results while the sentinels
-    propagate — otherwise the worker blocks at exit on a full pipe and
-    ends up force-terminated.  Entries may be ``None`` (degraded shards
-    have no worker/queue).
+    Sends every worker its sentinel, then alternates two steps until all
+    workers have exited or ``_SHUTDOWN_WAIT_S`` has passed: drain the
+    result queues without blocking, and wait on the live workers'
+    process sentinels for at most ``_POLL_INTERVAL_S``.  A healthy
+    worker's exit wakes the wait at once, so a clean close costs what the
+    workers take to exit.  The drain matters after an error: a worker may
+    still be flushing a large result into its queue and cannot exit until
+    the parent reads it, so it is never force-terminated for being slow.
+    Workers still alive after the deadline are joined, then terminated.
+    Entries may be ``None`` (degraded shards have no worker/queue).
     """
     for queue in task_queues:
         if queue is None:
@@ -975,22 +985,20 @@ def _cleanup(arena: SharedArena | None, workers: list, task_queues: list,
         except Exception:
             pass
     live = [worker for worker in workers if worker is not None]
-    deadline = 50  # ~10 s of 0.2 s drain rounds
-    while deadline and any(worker.is_alive() for worker in live):
-        drained = False
+    deadline = time.monotonic() + _SHUTDOWN_WAIT_S
+    running = [worker for worker in live if worker.is_alive()]
+    while running and time.monotonic() < deadline:
         for queue in result_queues:
             if queue is None:
                 continue
             try:
-                queue.get_nowait()
-                drained = True
-            except queue_module.Empty:
-                continue
-            except Exception:
+                while True:
+                    queue.get_nowait()
+            except Exception:  # Empty, or a queue a dead worker broke
                 pass
-        if not drained:
-            time.sleep(0.2)
-            deadline -= 1
+        mp_connection.wait([worker.sentinel for worker in running],
+                           timeout=_POLL_INTERVAL_S)
+        running = [worker for worker in running if worker.is_alive()]
     for worker in live:
         worker.join(timeout=1.0)
         if worker.is_alive():

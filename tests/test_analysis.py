@@ -106,6 +106,33 @@ class TestParameterStudy:
         assert rows[0].parameter == "n_p"
         assert "n_p" not in rows[0].config
 
+    def test_base_configuration_is_trained_once(self, monkeypatch):
+        from repro.analysis import parameter_study
+        from repro.experiments.configs import default_training_config
+
+        default_n_p = default_training_config(dataset="cds", setting="80-20-CUT").n_p
+        # Every value below is the cds base, so all three rows are one run.
+        sweep = {"n_l": [2], "synergy_order": [2], "n_p": [default_n_p]}
+        runs = []
+        evaluate = parameter_study._evaluate_configuration
+
+        def counting(*args, **kwargs):
+            runs.append(args[1])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(parameter_study, "_evaluate_configuration", counting)
+        rows = run_parameter_study("cds", sweep=sweep, scale="tiny", epochs=1, seed=0)
+        assert len(runs) == 1
+        assert [(row.parameter, row.value) for row in rows] == [
+            ("n_l", 2), ("synergy_order", 2), ("n_p", default_n_p)]
+        assert len({(row.recall_at_5, row.recall_at_10) for row in rows}) == 1
+        # A fresh run of the same configuration measures the same numbers.
+        rerun = run_parameter_study("cds", sweep={"synergy_order": [2]}, scale="tiny",
+                                    epochs=1, seed=0)
+        assert (rerun[0].recall_at_5, rerun[0].recall_at_10) == (
+            rows[0].recall_at_5, rows[0].recall_at_10)
+        assert len(runs) == 2
+
     def test_sasrec_sensitivity(self):
         rows = run_sasrec_sensitivity(sweep={"num_heads": [1, 2]}, scale="tiny",
                                       epochs=1, seed=0)

@@ -233,3 +233,53 @@ class TestGraphMechanics:
         assert len(x) == 1
         assert "shape=(1, 2)" in repr(x)
         assert Tensor([3.0]).item() == 3.0
+
+
+class TestBackwardSkipsConstants:
+    """Backward closures compute no gradient for an operand that does not
+    require one, and the gradients they do compute keep their bits."""
+
+    @pytest.mark.parametrize("op", [
+        lambda x, c: x + c, lambda x, c: x - c, lambda x, c: x * c, lambda x, c: x / c,
+        lambda x, c: c + x, lambda x, c: c - x, lambda x, c: c * x, lambda x, c: c / x,
+    ])
+    def test_elementwise_constant_operand_gets_none(self, op):
+        x = make((4, 3), seed=30)
+        constant = Tensor(np.random.default_rng(31).uniform(1.0, 2.0, size=(3,)))
+        out = op(x, constant)
+        grad = np.random.default_rng(32).normal(size=out.shape)
+        contributions = dict(zip(map(id, out._parents), out._backward(grad)))
+        assert contributions[id(constant)] is None
+        assert contributions[id(x)].shape == x.shape
+
+    @pytest.mark.parametrize("shapes", [((4, 3), (3, 2)), ((2, 4, 3), (3, 2)),
+                                        ((2, 4, 3), (2, 3, 5))])
+    def test_matmul_computes_only_the_required_side(self, shapes):
+        rng = np.random.default_rng(33)
+        a_data, b_data = rng.normal(size=shapes[0]), rng.normal(size=shapes[1])
+        both = Tensor(a_data, requires_grad=True).matmul(Tensor(b_data, requires_grad=True))
+        grad = rng.normal(size=both.shape)
+        grad_a, grad_b = both._backward(grad)
+
+        left = Tensor(a_data, requires_grad=True).matmul(Tensor(b_data))
+        assert left._backward(grad)[1] is None
+        assert left._backward(grad)[0].tobytes() == grad_a.tobytes()
+        right = Tensor(a_data).matmul(Tensor(b_data, requires_grad=True))
+        assert right._backward(grad)[0] is None
+        assert right._backward(grad)[1].tobytes() == grad_b.tobytes()
+
+    @pytest.mark.parametrize("index", [
+        slice(1, 4), (slice(None), slice(2, 5)), 2, (1, slice(None, None, -2)),
+        (Ellipsis, 0), (None, slice(1, 3)), np.int64(3),
+        [0, 2, 2, 4], (np.array([1, 1, 3]), slice(None)),
+        np.array([True, False, True, False, True]),
+    ])
+    def test_getitem_backward_matches_unbuffered_scatter(self, index):
+        x = make((5, 6), seed=34)
+        out = x[index]
+        grad = np.random.default_rng(35).normal(size=out.shape)
+        grad[..., 0] = -0.0
+        (full,) = out._backward(grad)
+        expected = np.zeros(x.shape)
+        np.add.at(expected, index, grad)
+        assert full.tobytes() == expected.tobytes()

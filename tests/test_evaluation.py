@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import InteractionDataset, split_setting
+from repro.data.splits import DatasetSplit
 from repro.evaluation import (
     RankingEvaluator,
     measure_inference_time,
@@ -13,9 +14,17 @@ from repro.evaluation import (
     recall_at_k,
     top_k_items,
 )
-from repro.evaluation.metrics import average_precision_at_k, hit_rate_at_k
+from repro.evaluation.metrics import (
+    average_precision_at_k,
+    batch_hits,
+    batch_ndcg_at_k,
+    batch_recall_at_k,
+    hit_rate_at_k,
+    truth_matrix,
+)
 from repro.evaluation.ranking import exclude_items
 from repro.models import HAM, Popularity
+from repro.serving import ScoringEngine
 
 
 class TestMetrics:
@@ -194,6 +203,133 @@ class TestRankingEvaluator:
             RankingEvaluator(split, mode="bogus")
         with pytest.raises(ValueError):
             RankingEvaluator(split, ks=())
+
+
+#######################################################################
+#        Metric path vs the dense truth-matrix reference (fast)        #
+#######################################################################
+
+
+def random_targets(rng, num_users, num_items, max_targets, empty_share=0.2):
+    """Per-user target lists drawn *with* replacement (so duplicates
+    occur), some users left empty, lengths up to ``max_targets``."""
+    targets = []
+    for _ in range(num_users):
+        if rng.random() < empty_share:
+            targets.append([])
+        else:
+            size = int(rng.integers(1, max_targets + 1))
+            targets.append(rng.integers(0, num_items, size=size).tolist())
+    return targets
+
+
+def random_split(seed, num_users, num_items, max_targets=4):
+    rng = np.random.default_rng(seed)
+    train = [rng.integers(0, num_items, size=int(rng.integers(1, 6))).tolist()
+             for _ in range(num_users)]
+    valid = random_targets(rng, num_users, num_items, max_targets)
+    test = random_targets(rng, num_users, num_items, max_targets)
+    return DatasetSplit(train, valid, test, num_items, setting="random")
+
+
+class FixedScores(Popularity):
+    """Seeded random scores per (user, item), with each user's test and
+    validation targets lifted so that hits land at every rank."""
+
+    def __init__(self, split, seed):
+        super().__init__(split.num_users, split.num_items)
+        rng = np.random.default_rng(seed)
+        self._table = rng.random((split.num_users, split.num_items))
+        for user in range(split.num_users):
+            for item in split.test[user] + split.valid[user]:
+                self._table[user, item] += rng.random()
+        self._fitted = True
+
+    def score_all(self, users, inputs):
+        return self._table[np.asarray(users)]
+
+
+def reference_result(split, model, ks, mode, batch_size=256):
+    """The dense formula, per batch of ``batch_size`` users: a
+    ``(B, num_items)`` bool truth matrix, hits gathered from it, and the
+    per-user target counts as its row sums."""
+    histories = split.train_plus_valid() if mode == "test" else split.train
+    targets = split.test if mode == "test" else split.valid
+    users = [user for user, items in enumerate(targets) if items]
+    ks = tuple(sorted(ks))
+    per_user = {f"{metric}@{k}": [] for metric in ("Recall", "NDCG") for k in ks}
+    ranked_all = ScoringEngine(model, histories).top_k(users, max(ks))
+    for start in range(0, len(users), batch_size):
+        batch = users[start:start + batch_size]
+        truth = truth_matrix([targets[user] for user in batch], split.num_items)
+        hits = batch_hits(ranked_all[start:start + batch_size], truth)
+        truth_counts = truth.sum(axis=1)
+        for k in ks:
+            per_user[f"Recall@{k}"].append(batch_recall_at_k(hits, truth_counts, k))
+            per_user[f"NDCG@{k}"].append(batch_ndcg_at_k(hits, truth_counts, k))
+    per_user = {name: np.concatenate(values) for name, values in per_user.items()}
+    return per_user, {name: float(values.mean()) for name, values in per_user.items()}
+
+
+def assert_matches_reference(split, model, ks, mode):
+    result = RankingEvaluator(split, ks=ks, mode=mode).evaluate(model)
+    per_user, metrics = reference_result(split, model, ks, mode)
+    assert list(result.per_user) == list(per_user)
+    for name, values in per_user.items():
+        assert result.per_user[name].dtype == values.dtype
+        assert result.per_user[name].tobytes() == values.tobytes(), name
+    assert result.metrics == metrics
+
+
+@pytest.mark.fast
+class TestMetricPathParity:
+    @pytest.mark.parametrize("mode", ["test", "validation"])
+    @pytest.mark.parametrize("ks", [(5, 10), (10, 1, 5), (1, 3, 20)])
+    def test_byte_identical_across_batches(self, mode, ks):
+        # 600 users span three 256-user reference batches; up to 25
+        # targets with duplicates gives users with more targets than k.
+        split = random_split(seed=11, num_users=600, num_items=50, max_targets=25)
+        assert_matches_reference(split, FixedScores(split, seed=12), ks, mode)
+
+    @pytest.mark.parametrize("mode", ["test", "validation"])
+    def test_catalogue_smaller_than_largest_k(self, mode):
+        split = random_split(seed=13, num_users=40, num_items=8, max_targets=6)
+        assert_matches_reference(split, FixedScores(split, seed=14), (1, 3, 20), mode)
+
+    def test_duplicate_targets_count_once(self):
+        split = DatasetSplit(train=[[0], [1]], valid=[[], []],
+                             test=[[2, 2, 3], [4, 4]], num_items=6)
+        model = FixedScores(split, seed=15)
+        assert_matches_reference(split, model, (5,), "test")
+        result = RankingEvaluator(split, ks=(5,)).evaluate(model)
+        # Five of the six items are unseen, so every target is in the top 5.
+        assert result.per_user["Recall@5"].tolist() == [1.0, 1.0]
+
+    def test_no_evaluable_users(self):
+        split = random_split(seed=16, num_users=10, num_items=12)
+        split.test = [[] for _ in range(split.num_users)]
+        result = RankingEvaluator(split, ks=(10, 5)).evaluate(FixedScores(split, seed=17))
+        assert result.metrics == {"Recall@5": 0.0, "Recall@10": 0.0,
+                                  "NDCG@5": 0.0, "NDCG@10": 0.0}
+        assert result.per_user == {}
+        assert result.num_users_evaluated == 0
+
+    @pytest.mark.parametrize("bad_item", [-1, 12])
+    def test_target_id_outside_catalogue_is_rejected(self, bad_item):
+        split = random_split(seed=18, num_users=6, num_items=12)
+        split.test[4] = [3, bad_item]
+        with pytest.raises(ValueError, match=rf"user 4 .* id {bad_item} outside \[0, 12\)"):
+            RankingEvaluator(split)
+        split.test[4] = [3]
+        split.valid[2] = [bad_item]
+        with pytest.raises(ValueError, match=rf"user 2 .* id {bad_item} outside"):
+            RankingEvaluator(split, mode="validation")
+
+    def test_model_ranking_past_the_catalogue_is_rejected(self):
+        split = random_split(seed=19, num_users=6, num_items=12)
+        wider = DatasetSplit(split.train, split.valid, split.test, num_items=15)
+        with pytest.raises(ValueError, match="model ranks 15 items but the split has 12"):
+            RankingEvaluator(split).evaluate(FixedScores(wider, seed=20))
 
 
 class TestSignificance:

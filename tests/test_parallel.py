@@ -497,6 +497,61 @@ class TestLifecycleAndDeadlines:
             assert stats["stale_results_dropped"] >= 1
             assert stats["worker_deaths"] == 0  # slow, not dead
 
+    def test_clean_close_waits_on_workers_not_on_the_clock(self, monkeypatch):
+        """Healthy workers exit by themselves on their sentinel, and the
+        parent notices through their process sentinels, not by napping."""
+
+        class CountingTime:
+            """The ``time`` module, with its ``sleep`` calls counted."""
+
+            def __init__(self):
+                self.sleeps = 0
+
+            def sleep(self, seconds):
+                self.sleeps += 1
+                time.sleep(seconds)
+
+            def __getattr__(self, name):
+                return getattr(time, name)
+
+        split = tiny_split(seed=23)
+        model = trained_model(split, epochs=1)
+        engine = ShardedScoringEngine(model, split.train_plus_valid(), n_workers=2)
+        engine.top_k(list(range(split.num_users)), 3)
+        workers = list(engine._workers)
+        clock = CountingTime()
+        monkeypatch.setattr("repro.parallel.sharded.time", clock)
+        engine.close()
+        assert [worker.exitcode for worker in workers] == [0, 0]
+        assert clock.sleeps == 0
+
+    def test_close_drains_a_late_reply_larger_than_a_pipe_buffer(self):
+        """A timed-out request whose slow worker is still sending a large
+        reply: close() must read it so the worker can exit by itself."""
+        from repro.parallel import FaultPlan
+
+        num_items, num_users = 3000, 14
+        rng = np.random.default_rng(24)
+        dataset = InteractionDataset.from_sequences(
+            [rng.integers(0, num_items, size=12).tolist() for _ in range(num_users)],
+            num_items=num_items)
+        model = create_model("HAMs_m", num_users, num_items,
+                             rng=np.random.default_rng(0), embedding_dim=8,
+                             n_h=4, n_l=2)
+        users = list(range(num_users))
+        shard0_users = int(shard_bounds(num_users, 2)[1])
+        # ids (int64) + scores (float64) of shard 0's full ranking.
+        assert shard0_users * num_items * 16 > 1 << 16  # Linux pipe buffer
+        engine = ShardedScoringEngine(model, dataset.sequences, n_workers=2,
+                                      fault_plan=FaultPlan.delay_shard(0, delay_s=0.5))
+        workers = list(engine._workers)
+        try:
+            with pytest.raises(TimeoutError):
+                engine.top_k_scored(users, num_items, timeout=0.1)
+        finally:
+            engine.close()
+        assert [worker.exitcode for worker in workers] == [0, 0]
+
     def test_owner_arena_unlinks_on_garbage_collection(self):
         arena = SharedArena.publish({"x": np.arange(8, dtype=np.float64)})
         segment = f"/dev/shm/{arena.layout.segment_name}"
