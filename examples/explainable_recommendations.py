@@ -8,8 +8,8 @@ association over the last ``n_l`` items.  Unlike the attention/gating
 baselines, every recommendation therefore comes with an exact, additive
 explanation of *why* the item was ranked where it was.
 
-This example trains HAMs_m, serves top-k recommendations through the
-:class:`repro.serving.Recommender` wrapper, and prints the per-factor
+This example trains HAMs_m, serves top-k recommendations through a
+:class:`repro.serving.ScoringEngine`, and prints the per-factor
 decomposition of the top recommendations next to item-to-item similarity
 queries.
 
@@ -22,7 +22,7 @@ import argparse
 
 import numpy as np
 
-from repro import Recommender, explain_ham_score
+from repro import ScoringEngine, explain_ham_score
 from repro.data import load_benchmark, split_setting
 from repro.experiments.reporting import format_table
 from repro.models import HAMSynergy
@@ -49,10 +49,10 @@ def main() -> None:
 
     # Serve and explain ----------------------------------------------------
     histories = split.train_plus_valid()
-    recommender = Recommender(model, histories)
+    engine = ScoringEngine(model, histories)
 
     for user in args.users:
-        recommendations = recommender.recommend(user, k=3)
+        recommendations = engine.recommend(user, k=3)
         rows = []
         for entry in recommendations:
             explanation = explain_ham_score(model, user, histories[user], entry.item)
@@ -65,8 +65,8 @@ def main() -> None:
         print()
 
     # Item-to-item similarity under the learned embedding geometry ----------
-    anchor = recommender.recommend(args.users[0], k=1)[0].item
-    similar = recommender.similar_items(anchor, k=5)
+    anchor = engine.recommend(args.users[0], k=1)[0].item
+    similar = engine.similar_items(anchor, k=5)
     print(format_table(
         [{"rank": entry.rank, "item": entry.item, "cosine": round(entry.score, 4)}
          for entry in similar],

@@ -25,7 +25,7 @@ The package is organized as:
     per-factor HAM score explanations.
 """
 
-from repro.serving import Recommender, ScoringEngine, explain_ham_score
+from repro.serving import ScoringEngine, explain_ham_score
 
 __version__ = "1.0.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "analysis",
     "experiments",
     "serving",
-    "Recommender",
     "ScoringEngine",
     "explain_ham_score",
 ]

@@ -40,7 +40,6 @@ from repro.cluster.protocol import (
     engine_from_snapshot_payload,
     recv_frame,
     send_frame,
-    serialize_engine_snapshot,
     serialize_live_engine,
 )
 from repro.cluster.router import ClusterRouter, NodeUnavailable, user_range
@@ -63,7 +62,6 @@ __all__ = [
     "recv_frame",
     "request_reply",
     "send_frame",
-    "serialize_engine_snapshot",
     "serialize_live_engine",
     "spawn_node",
     "user_range",

@@ -36,15 +36,22 @@ Defensive properties the chaos tier leans on:
 
 Snapshot hand-off
 -----------------
-:func:`serialize_engine_snapshot` /
-:func:`engine_from_snapshot_payload` move a complete scoring snapshot
-(model parameters via pickle, padded inputs, CSR seen arrays and the
-frozen candidate table) through one frame, so a fresh node can be
-bootstrapped from a running peer (``EngineNode.from_peer``) without
-touching the original checkpoint.  Same-host nodes skip the copy
-entirely: :func:`engine_from_arena` attaches a published
-:class:`~repro.parallel.shm.SharedArena` by name for a zero-copy
-engine, exactly like the in-process shard workers.
+:func:`serialize_live_engine` / :func:`engine_from_snapshot_payload`
+move a complete scoring snapshot through one frame, so a fresh node can
+be bootstrapped from a running peer (``EngineNode.from_peer``) without
+touching the original checkpoint.  The frame's meta is exactly
+``{exclude_seen, micro_batch_size}``; its arrays are the pickled model
+(``model_pickle``) plus the snapshot layout of
+:func:`~repro.serving.engine.snapshot_arrays` — ``inputs``,
+``seen_indptr``, ``seen_items`` and, when present, ``candidates``,
+``item_bias`` and the ``ann_*`` index arrays.  Key presence alone
+describes the snapshot, so a frame that still carries the older
+``has_*`` meta flags (head, bias, ANN index) decodes the same.
+Same-host nodes skip the copy entirely: :func:`engine_from_arena`
+attaches a published :class:`~repro.parallel.shm.SharedArena` by name
+for a zero-copy engine, exactly like the in-process shard workers.  Both
+readers go through :meth:`ScoringEngine.from_arrays`, which validates
+the arrays before serving from them.
 
 The pickle inside a snapshot frame means snapshot hand-off (like the
 rest of this protocol) is for **trusted cluster links only** — the same
@@ -60,12 +67,9 @@ import struct
 
 import numpy as np
 
-from repro.data.seen import SeenIndex
-from repro.data.windows import pad_histories, pad_id_for
-from repro.models.base import FrozenScorer, SequentialRecommender
+from repro.models.base import SequentialRecommender
 from repro.parallel.shm import ArenaLayout, SharedArena
-from repro.retrieval.index import ANN_PREFIX, ANNIndex, RetrievalConfig
-from repro.serving.engine import ScoringEngine
+from repro.serving.engine import ScoringEngine, snapshot_arrays
 
 __all__ = [
     "ProtocolError",
@@ -74,7 +78,6 @@ __all__ = [
     "encode_frame",
     "send_frame",
     "recv_frame",
-    "serialize_engine_snapshot",
     "serialize_live_engine",
     "engine_from_snapshot_payload",
     "engine_from_arena",
@@ -240,171 +243,47 @@ def recv_frame(sock: socket.socket) -> Frame:
 # ---------------------------------------------------------------------- #
 # Snapshot hand-off
 # ---------------------------------------------------------------------- #
-def serialize_engine_snapshot(model: SequentialRecommender,
-                              histories: list[list[int]],
-                              exclude_seen: bool = True,
-                              micro_batch_size: int = 1024,
-                              ann_config: RetrievalConfig | None = None,
-                              ) -> tuple[dict, dict[str, np.ndarray]]:
-    """``(meta, arrays)`` of a complete scoring snapshot, frame-ready.
-
-    Materializes exactly the arrays the in-process sharded engine
-    publishes into its :class:`~repro.parallel.shm.SharedArena` — padded
-    inputs, CSR seen arrays, the frozen candidate table and bias — plus
-    the pickled model (needed for the representation forward on the far
-    side).  Feeding the result to :func:`engine_from_snapshot_payload`
-    yields an engine that scores bit-identically to a local
-    ``ScoringEngine(model, histories)``.
-
-    ``ann_config`` additionally trains an ANN candidate index over the
-    frozen table and ships it in the same frame (``ann_*`` arrays), so
-    the far-side node serves ``top_k(mode="ann")`` without retraining.
-    """
-    model.eval()
-    num_users = model.num_users
-    pad_id = pad_id_for(model.num_items)
-    inputs = pad_histories(histories, model.input_length, pad_id,
-                           users=np.arange(num_users, dtype=np.int64))
-    seen = SeenIndex.from_histories(histories[:num_users], model.num_items)
-    meta = {
-        "exclude_seen": bool(exclude_seen),
-        "micro_batch_size": int(micro_batch_size),
-        "has_frozen": False,
-        "has_bias": False,
-        "has_ann": False,
-    }
-    arrays: dict[str, np.ndarray] = {
-        "model_pickle": np.frombuffer(
-            pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL),
-            dtype=np.uint8),
-        "inputs": inputs,
-        "seen_indptr": seen.indptr,
-        "seen_items": seen.items,
-    }
-    try:
-        frozen = model.freeze(copy=True)
-    except NotImplementedError:
-        frozen = None
-    if frozen is not None:
-        meta["has_frozen"] = True
-        arrays["candidates"] = frozen.candidate_embeddings
-        if frozen.item_bias is not None:
-            meta["has_bias"] = True
-            arrays["item_bias"] = frozen.item_bias
-    if ann_config is not None:
-        if frozen is None:
-            raise ValueError(
-                f"{type(model).__name__} has no candidate-embedding table; "
-                "an ANN index cannot be built for this snapshot")
-        index = ANNIndex.build(
-            np.ascontiguousarray(
-                frozen.candidate_embeddings[: model.num_items]),
-            ann_config)
-        meta["has_ann"] = True
-        arrays.update(index.to_arrays())
-    return meta, arrays
-
-
 def serialize_live_engine(engine: ScoringEngine) -> tuple[dict, dict[str, np.ndarray]]:
     """``(meta, arrays)`` snapshot of a *running* serial engine.
 
-    Where :func:`serialize_engine_snapshot` starts from model +
-    histories (the checkpoint-owner hand-off), this starts from an
-    engine that may already have absorbed ``observe()`` traffic: the
-    shipped padded rows and seen arrays are the engine's *current*
-    state, so a node bootstrapped from the result
-    (``EngineNode.from_peer``) scores bit-identically to the donor at
-    the moment of the snapshot.
+    The engine may already have absorbed ``observe()`` traffic: the
+    shipped padded rows and seen arrays are its *current* state, so a
+    node bootstrapped from the result (``EngineNode.from_peer``) scores
+    bit-identically to the donor at the moment of the snapshot.  A
+    donor's trained ANN index travels with it, so the recipient serves
+    identical ANN candidates from frame one.
     """
-    model = engine.model
-    num_users = engine.num_users
-    if engine._inputs is not None:
-        inputs = np.ascontiguousarray(engine._inputs)
-    else:  # live-histories engine: materialize the padded rows now
-        inputs = pad_histories(engine._histories, engine.input_length,
-                               engine.pad_id,
-                               users=np.arange(num_users, dtype=np.int64))
-    if engine._seen_items is not None:
-        lengths = [view.shape[0] for view in engine._seen_items]
-        indptr = np.zeros(num_users + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        items = (np.concatenate(engine._seen_items)
-                 if indptr[-1] else np.zeros(0, dtype=np.int64))
-        items = items.astype(np.int64, copy=False)
-    elif engine._histories is not None:
-        seen = SeenIndex.from_histories(engine._histories[:num_users],
-                                        engine.num_items)
-        indptr, items = seen.indptr, seen.items
-    else:
-        raise RuntimeError(
-            "engine was built without seen-item arrays or histories; "
-            "its snapshot cannot serve masked requests")
-    meta = {
-        "exclude_seen": bool(engine.exclude_seen),
-        "micro_batch_size": int(engine.micro_batch_size),
-        "has_frozen": engine._frozen is not None,
-        "has_bias": False,
-        "has_ann": False,
-    }
-    arrays: dict[str, np.ndarray] = {
-        "model_pickle": np.frombuffer(
-            pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL),
-            dtype=np.uint8),
-        "inputs": inputs,
-        "seen_indptr": indptr,
-        "seen_items": items,
-    }
-    if engine._frozen is not None:
-        arrays["candidates"] = engine._frozen.candidate_embeddings
-        if engine._frozen.item_bias is not None:
-            meta["has_bias"] = True
-            arrays["item_bias"] = engine._frozen.item_bias
-    if engine.ann_index is not None:
-        # The donor's trained index travels with the snapshot, so the
-        # recipient serves identical ANN candidates from frame one.
-        meta["has_ann"] = True
-        arrays.update(engine.ann_index.to_arrays())
+    engine._ensure_seen_arrays()
+    seen = engine._seen_items
+    indptr = np.zeros(engine.num_users + 1, dtype=np.int64)
+    np.cumsum([view.shape[0] for view in seen], out=indptr[1:])
+    items = (np.concatenate(seen).astype(np.int64, copy=False)
+             if indptr[-1] else np.zeros(0, dtype=np.int64))
+    meta = {"exclude_seen": bool(engine.exclude_seen),
+            "micro_batch_size": int(engine.micro_batch_size)}
+    arrays = {"model_pickle": np.frombuffer(
+        pickle.dumps(engine.model, protocol=pickle.HIGHEST_PROTOCOL),
+        dtype=np.uint8)}
+    arrays.update(snapshot_arrays(np.ascontiguousarray(engine._inputs),
+                                  indptr, items, engine._frozen,
+                                  engine.ann_index))
     return meta, arrays
-
-
-def _seen_views(indptr: np.ndarray, items: np.ndarray) -> list[np.ndarray]:
-    """Per-user item views into CSR seen arrays (as the shard workers build)."""
-    return [items[indptr[user]:indptr[user + 1]]
-            for user in range(indptr.shape[0] - 1)]
 
 
 def engine_from_snapshot_payload(meta: dict, arrays: dict[str, np.ndarray],
                                  ) -> ScoringEngine:
-    """Rebuild an observable :class:`ScoringEngine` from a snapshot frame.
+    """Rebuild a :class:`ScoringEngine` from a snapshot frame.
 
-    The inverse of :func:`serialize_engine_snapshot`: unpickles the
-    model, wires the shipped arrays through
-    :meth:`ScoringEngine.from_snapshot` (the same constructor the shard
-    workers use) and returns an engine whose answers are bit-identical
-    to the origin's.
+    The inverse of :func:`serialize_live_engine`: unpickles the model
+    and hands the shipped arrays to :meth:`ScoringEngine.from_arrays`
+    (the reader the shard workers use), returning an engine whose
+    answers are bit-identical to the origin's.  Decoded frame arrays
+    are writable copies, so the engine accepts ``observe``.
     """
     model = pickle.loads(arrays["model_pickle"].tobytes())
-    model.eval()
-    frozen = None
-    if meta.get("has_frozen"):
-        frozen = FrozenScorer(
-            num_items=model.num_items,
-            candidate_embeddings=arrays["candidates"],
-            item_bias=arrays["item_bias"] if meta.get("has_bias") else None,
-        )
-    inputs = np.ascontiguousarray(arrays["inputs"])
-    engine = ScoringEngine.from_snapshot(
-        model,
-        inputs=inputs,
-        seen_items=_seen_views(arrays["seen_indptr"], arrays["seen_items"]),
-        frozen=frozen,
-        exclude_seen=bool(meta.get("exclude_seen", True)),
-        micro_batch_size=int(meta.get("micro_batch_size", 1024)),
-        observable=True,
-    )
-    if meta.get("has_ann"):
-        engine.attach_ann_index(ANNIndex.from_arrays(arrays))
-    return engine
+    return ScoringEngine.from_arrays(
+        model, arrays, exclude_seen=bool(meta.get("exclude_seen", True)),
+        micro_batch_size=int(meta.get("micro_batch_size", 1024)))
 
 
 def engine_from_arena(model: SequentialRecommender, layout: ArenaLayout,
@@ -415,37 +294,17 @@ def engine_from_arena(model: SequentialRecommender, layout: ArenaLayout,
     A node co-located with the snapshot owner skips the serialization
     step entirely and attaches the already-published segment by name —
     the picklable ``layout`` is the only thing that crosses the process
-    boundary, exactly as for the in-process shard workers.
+    boundary, exactly as for the in-process shard workers.  The engine
+    accepts ``observe`` when the arena publishes ``inputs`` writable.
 
     Returns ``(engine, arena)``; the caller owns the arena mapping and
     must ``close()`` it when the engine is retired.
     """
     arena = SharedArena.attach(layout)
     try:
-        frozen = None
-        if "candidates" in arena.keys():
-            frozen = FrozenScorer(
-                num_items=model.num_items,
-                candidate_embeddings=arena.array("candidates"),
-                item_bias=(arena.array("item_bias")
-                           if "item_bias" in arena.keys() else None),
-            )
-        engine = ScoringEngine.from_snapshot(
-            model,
-            inputs=arena.array("inputs"),
-            seen_items=_seen_views(arena.array("seen_indptr"),
-                                   arena.array("seen_items")),
-            frozen=frozen,
-            exclude_seen=exclude_seen,
-            micro_batch_size=micro_batch_size,
-            observable=bool(arena.array("inputs").flags.writeable),
-        )
-        ann_keys = [key for key in arena.keys() if key.startswith(ANN_PREFIX)]
-        if ann_keys:
-            # Same zero-copy deal as the shard workers: read-only views
-            # of the published index, identical candidates everywhere.
-            engine.attach_ann_index(ANNIndex.from_arrays(
-                {key: arena.array(key) for key in ann_keys}))
+        engine = ScoringEngine.from_arrays(
+            model, arena.arrays(), exclude_seen=exclude_seen,
+            micro_batch_size=micro_batch_size)
     except Exception:
         arena.close()
         raise

@@ -4,7 +4,9 @@ The paper reports the average per-user scoring time during testing — the
 latency that matters for real-time recommendation — and the speedup of
 HAMs_m over each baseline.  The measurement here follows the same recipe:
 time the full scoring pass over the evaluable users and divide by the
-number of users.
+number of users.  Of several passes the fastest is kept (``timeit``'s
+convention): at bench scale one pass takes a few microseconds per user,
+so any slower pass measures timer and scheduler noise, not the model.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ __all__ = ["InferenceTiming", "measure_inference_time"]
 
 @dataclass(frozen=True)
 class InferenceTiming:
-    """Average per-user scoring latency."""
+    """Average per-user scoring latency of the fastest of ``repeats`` passes.
+
+    ``total_seconds`` is the wall time of that one fastest pass.
+    """
 
     model_name: str
     total_seconds: float
@@ -34,7 +39,7 @@ class InferenceTiming:
     def seconds_per_user(self) -> float:
         if self.num_users == 0:
             return 0.0
-        return self.total_seconds / (self.num_users * self.repeats)
+        return self.total_seconds / self.num_users
 
 
 def measure_inference_time(model: SequentialRecommender,
@@ -46,8 +51,8 @@ def measure_inference_time(model: SequentialRecommender,
     Parameters
     ----------
     repeats:
-        Number of full passes (averaging over repeats stabilizes the
-        measurement for fast models).
+        Number of full passes; the fastest one is reported, which keeps
+        a fast model's microsecond timings stable across runs.
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
@@ -65,14 +70,15 @@ def measure_inference_time(model: SequentialRecommender,
         inputs = pad_histories(evaluator._histories, model.input_length, pad, users=chunk)
         batches.append((np.asarray(chunk, dtype=np.int64), inputs))
 
-    start_time = time.perf_counter()
+    fastest = float("inf")
     for _ in range(repeats):
+        start_time = time.perf_counter()
         for user_array, inputs in batches:
             model.score_all(user_array, inputs)
-    elapsed = time.perf_counter() - start_time
+        fastest = min(fastest, time.perf_counter() - start_time)
     return InferenceTiming(
         model_name=model_name or type(model).__name__,
-        total_seconds=elapsed,
+        total_seconds=fastest,
         num_users=len(users),
         repeats=repeats,
     )

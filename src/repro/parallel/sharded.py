@@ -7,7 +7,7 @@ shard.  The expensive, read-only state — padded per-user inputs, the CSR
 seen-item arrays and the frozen candidate table — is published exactly
 once into a :class:`~repro.parallel.shm.SharedArena`; each worker
 attaches zero-copy views and wires them into a regular
-:meth:`ScoringEngine.from_snapshot` engine.  Because every worker runs
+:meth:`ScoringEngine.from_arrays` engine.  Because every worker runs
 the serial engine's own code on identical arrays, sharded
 ``top_k_scored`` answers (and the ``top_k`` / ``recommend_batch`` /
 ``recommend`` verbs derived from it) are **bit-for-bit identical** to
@@ -25,8 +25,9 @@ Workers cache the representations of their shard lazily, exactly like
 the serial engine, so repeated sweeps cost one matmul + mask + top-k
 selection per shard — spread over ``n_workers`` cores.
 
-``n_workers <= 1`` degrades to a plain in-process engine with the same
-API, so callers can thread an ``n_workers`` knob through without
+The engine always runs at least two workers; :func:`make_scoring_engine`
+is the one factory that picks the serial engine for ``n_workers < 2``,
+so callers can thread an ``n_workers`` knob through without
 special-casing single-core machines.
 
 Fault tolerance
@@ -78,12 +79,12 @@ import numpy as np
 
 from repro.data.seen import SeenIndex
 from repro.data.windows import pad_histories, pad_id_for
-from repro.models.base import FrozenScorer, SequentialRecommender
+from repro.models.base import SequentialRecommender
 from repro.parallel.faults import FaultInjector, FaultPlan
 from repro.parallel.shm import ArenaLayout, SharedArena
 from repro.parallel.supervisor import RestartPolicy, ShardSupervisor
-from repro.retrieval.index import ANN_PREFIX, ANNIndex, RetrievalConfig
-from repro.serving.engine import RankingVerbs, ScoringEngine
+from repro.retrieval.index import ANNIndex, RetrievalConfig
+from repro.serving.engine import RankingVerbs, ScoringEngine, snapshot_arrays
 
 __all__ = ["ShardedScoringEngine", "make_scoring_engine", "shard_bounds",
            "default_start_method", "DEFAULT_REQUEST_TIMEOUT_S"]
@@ -165,12 +166,6 @@ def shard_bounds(num_users: int, n_shards: int) -> np.ndarray:
     return bounds
 
 
-def _seen_views(indptr: np.ndarray, items: np.ndarray) -> list[np.ndarray]:
-    """Per-user item views into the shared CSR arrays."""
-    return [items[indptr[user]:indptr[user + 1]]
-            for user in range(indptr.shape[0] - 1)]
-
-
 def _execute_request(engine: ScoringEngine, method: str, users,
                      kwargs: dict):
     """Run one shard sub-request against a serial engine.
@@ -205,29 +200,12 @@ def _shard_worker_main(layout: ArenaLayout, model: SequentialRecommender,
         injector = FaultInjector(options["fault_plan"], options["shard"],
                                  options.get("incarnation", 0))
     try:
-        frozen = None
-        if options["has_frozen"]:
-            bias = arena.array("item_bias") if options["has_bias"] else None
-            frozen = FrozenScorer(num_items=model.num_items,
-                                  candidate_embeddings=arena.array("candidates"),
-                                  item_bias=bias)
-        engine = ScoringEngine.from_snapshot(
-            model,
-            inputs=arena.array("inputs"),
-            seen_items=_seen_views(arena.array("seen_indptr"),
-                                   arena.array("seen_items")),
-            frozen=frozen,
-            exclude_seen=options["exclude_seen"],
-            micro_batch_size=options["micro_batch_size"],
-            observable=True,
-        )
-        if options.get("has_ann"):
-            # Zero-copy: the index arrays are read-only arena views, the
-            # same bytes the parent trained — ANN candidates are
-            # therefore identical across shards and worker counts.
-            engine.attach_ann_index(ANNIndex.from_arrays(
-                {key: arena.array(key) for key in arena.keys()
-                 if key.startswith(ANN_PREFIX)}))
+        # Zero-copy: every array is an arena view.  The ANN index arrays
+        # are the read-only bytes the parent trained, so candidates are
+        # identical across shards and worker counts.
+        engine = ScoringEngine.from_arrays(
+            model, arena.arrays(), exclude_seen=options["exclude_seen"],
+            micro_batch_size=options["micro_batch_size"])
         while True:
             message = task_queue.get()
             if message is None:
@@ -288,8 +266,8 @@ class ShardedScoringEngine(RankingVerbs):
     histories:
         Per-user interaction histories, as for the serial engine.
     n_workers:
-        Worker processes.  Values ``<= 1`` select the in-process serial
-        fallback (no processes, no shared memory).
+        Worker processes, at least two (:func:`make_scoring_engine`
+        builds the serial engine below that).
     exclude_seen / micro_batch_size:
         As for :class:`~repro.serving.engine.ScoringEngine`.
     start_method:
@@ -328,6 +306,10 @@ class ShardedScoringEngine(RankingVerbs):
             )
         if micro_batch_size < 1:
             raise ValueError("micro_batch_size must be positive")
+        if n_workers < 2:
+            raise ValueError(
+                f"ShardedScoringEngine needs n_workers >= 2, got {n_workers}; "
+                "make_scoring_engine builds the serial engine for fewer")
         if request_timeout_s is not None and request_timeout_s <= 0:
             raise ValueError("request_timeout_s must be positive or None")
         model.eval()
@@ -338,10 +320,9 @@ class ShardedScoringEngine(RankingVerbs):
         self.pad_id = pad_id_for(model.num_items)
         self.exclude_seen = exclude_seen
         self.micro_batch_size = micro_batch_size
-        self.n_workers = max(int(n_workers), 1)
+        self.n_workers = int(n_workers)
         self.request_timeout_s = request_timeout_s
 
-        self._serial: ScoringEngine | None = None
         self._ann: ANNIndex | None = None
         self._arena: SharedArena | None = None
         self._workers: list = []
@@ -366,16 +347,6 @@ class ShardedScoringEngine(RankingVerbs):
             [] for _ in range(self.n_workers)]
         self._replayed_upto = [0] * self.n_workers
 
-        if self.n_workers == 1:
-            self._serial = ScoringEngine(model, histories, exclude_seen=exclude_seen,
-                                         micro_batch_size=micro_batch_size,
-                                         precompute=precompute)
-            if ann_config is not None:
-                self._serial.build_ann_index(ann_config)
-            self._histories = None  # the serial engine owns the lists
-            self._bounds = shard_bounds(self.num_users, 1)
-            return
-
         # Parent-side history bookkeeping (history() parity with the
         # serial engine); the scoring state itself lives in the workers.
         self._histories = [list(histories[user]) for user in range(self.num_users)]
@@ -396,15 +367,6 @@ class ShardedScoringEngine(RankingVerbs):
         except NotImplementedError:
             frozen = None
 
-        arrays = {
-            "inputs": inputs,
-            "seen_indptr": seen.indptr,
-            "seen_items": seen.items,
-        }
-        if frozen is not None:
-            arrays["candidates"] = frozen.candidate_embeddings
-            if frozen.item_bias is not None:
-                arrays["item_bias"] = frozen.item_bias
         # The ANN index is trained once here and published alongside the
         # engine arrays — workers (and the degraded fallback) attach the
         # same read-only bytes, so candidate generation is identical in
@@ -418,19 +380,17 @@ class ShardedScoringEngine(RankingVerbs):
             self._ann = ANNIndex.build(
                 np.ascontiguousarray(frozen.candidate_embeddings[:self.num_items]),
                 ann_config)
-            arrays.update(self._ann.to_arrays())
         # "inputs" stays worker-writable: each padded row is owned by
         # exactly one shard, whose task queue serializes the observe()
         # updates against that shard's scoring requests.
-        self._arena = SharedArena.publish(arrays, writable_keys={"inputs"})
+        self._arena = SharedArena.publish(
+            snapshot_arrays(inputs, seen.indptr, seen.items, frozen, self._ann),
+            writable_keys={"inputs"})
 
         self._bounds = shard_bounds(self.num_users, self.n_workers)
         self._options = {
             "exclude_seen": exclude_seen,
             "micro_batch_size": micro_batch_size,
-            "has_frozen": frozen is not None,
-            "has_bias": frozen is not None and frozen.item_bias is not None,
-            "has_ann": self._ann is not None,
             "fault_plan": fault_plan,
         }
 
@@ -462,11 +422,6 @@ class ShardedScoringEngine(RankingVerbs):
     # Introspection
     # ------------------------------------------------------------------ #
     @property
-    def is_parallel(self) -> bool:
-        """Whether requests actually fan out to worker processes."""
-        return self._serial is None
-
-    @property
     def supports_deadlines(self) -> bool:
         """Whether scoring calls accept a per-request ``timeout=``.
 
@@ -484,21 +439,16 @@ class ShardedScoringEngine(RankingVerbs):
         """Copy of the engine's current history of ``user``."""
         if not 0 <= user < self.num_users:
             raise ValueError(f"user id {user} outside [0, {self.num_users})")
-        if self._serial is not None:
-            return self._serial.history(user)
         return list(self._histories[user])
 
     def health(self) -> dict:
         """Liveness snapshot: per-shard supervision state, JSON-ready.
 
-        Keys: ``mode`` (``"serial"``/``"sharded"``), ``alive`` (engine
-        open), ``degraded_shards`` and the per-shard ``shards`` records
-        (liveness, restarts, incarnation, breaker window, exit codes)
-        from the :class:`~repro.parallel.supervisor.ShardSupervisor`.
+        Keys: ``mode`` (always ``"sharded"``), ``alive`` (engine open),
+        ``n_workers``, ``degraded_shards`` and the per-shard ``shards``
+        records (liveness, restarts, incarnation, breaker window, exit
+        codes) from the :class:`~repro.parallel.supervisor.ShardSupervisor`.
         """
-        if self._serial is not None:
-            return {"mode": "serial", "alive": not self._closed,
-                    "degraded_shards": [], "shards": []}
         return {
             "mode": "sharded",
             "alive": not self._closed,
@@ -522,9 +472,9 @@ class ShardedScoringEngine(RankingVerbs):
             "stale_results_dropped": self._stale_results,
             "deadline_timeouts": self._deadline_timeouts,
             "redispatched": self._redispatched,
-            "worker_deaths": self._supervisor.total_deaths if self.is_parallel else 0,
-            "restarts": self._supervisor.total_restarts if self.is_parallel else 0,
-            "degraded_shards": len(self._supervisor.degraded_shards) if self.is_parallel else 0,
+            "worker_deaths": self._supervisor.total_deaths,
+            "restarts": self._supervisor.total_restarts,
+            "degraded_shards": len(self._supervisor.degraded_shards),
             "observed_interactions": sum(len(log) for log in self._observed_log),
         }
 
@@ -550,9 +500,6 @@ class ShardedScoringEngine(RankingVerbs):
             raise ValueError(f"user id {user} outside [0, {self.num_users})")
         if not 0 <= item < self.num_items:
             raise ValueError(f"item id {item} outside [0, {self.num_items})")
-        if self._serial is not None:
-            self._serial.observe(user, item)
-            return
         self._check_open()
         deadline = self._deadline_for(timeout)
         shard = int(self.shard_of(np.asarray([user]))[0])
@@ -656,26 +603,10 @@ class ShardedScoringEngine(RankingVerbs):
         """
         engine = self._degraded_engine
         if engine is None:
-            frozen = None
-            if self._options["has_frozen"]:
-                bias = (self._arena.array("item_bias")
-                        if self._options["has_bias"] else None)
-                frozen = FrozenScorer(
-                    num_items=self.model.num_items,
-                    candidate_embeddings=self._arena.array("candidates"),
-                    item_bias=bias)
-            engine = ScoringEngine.from_snapshot(
-                self.model,
-                inputs=self._arena.array("inputs"),
-                seen_items=_seen_views(self._arena.array("seen_indptr"),
-                                       self._arena.array("seen_items")),
-                frozen=frozen,
+            engine = ScoringEngine.from_arrays(
+                self.model, self._arena.arrays(),
                 exclude_seen=self.exclude_seen,
-                micro_batch_size=self.micro_batch_size,
-                observable=True,
-            )
-            if self._ann is not None:
-                engine.attach_ann_index(self._ann)
+                micro_batch_size=self.micro_batch_size)
             self._degraded_engine = engine
         for other in range(self.n_workers):
             log = self._observed_log[other]
@@ -872,9 +803,6 @@ class ShardedScoringEngine(RankingVerbs):
     # ------------------------------------------------------------------ #
     def materialize(self, timeout: float | None = None) -> "ShardedScoringEngine":
         """Eagerly compute every shard's representation cache, in parallel."""
-        if self._serial is not None:
-            self._serial.materialize()
-            return self
         self._check_open()
         deadline = self._deadline_for(timeout)
         pending: dict[int, _PendingRequest] = {}
@@ -897,8 +825,6 @@ class ShardedScoringEngine(RankingVerbs):
     @property
     def ann_index(self):
         """The shared ANN candidate index, or ``None`` (exact only)."""
-        if self._serial is not None:
-            return self._serial.ann_index
         return self._ann
 
     def top_k_scored(self, users, k: int, exclude_seen: bool | None = None,
@@ -917,10 +843,6 @@ class ShardedScoringEngine(RankingVerbs):
         """
         if k < 1:
             raise ValueError("k must be positive")
-        if self._serial is not None:
-            return self._serial.top_k_scored(
-                users, k, exclude_seen=exclude_seen, mode=mode,
-                n_probe=n_probe, candidate_multiplier=candidate_multiplier)
         users = self._as_user_array(users)
         width = min(k, self.num_items)
         ranked = np.empty((users.size, width), dtype=np.int64)

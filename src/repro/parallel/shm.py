@@ -156,9 +156,11 @@ class SharedArena:
             raise RuntimeError("arena is closed")
         return self._arrays[key]
 
-    def keys(self):
-        """The published array names."""
-        return self._arrays.keys()
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every published array by name (zero-copy views)."""
+        if self._closed:
+            raise RuntimeError("arena is closed")
+        return dict(self._arrays)
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -1,5 +1,5 @@
 """High-level recommendation serving: the batched scoring engine,
-the back-compat recommender facade and HAM score explanations.
+the online gateway and HAM score explanations.
 
 The paper motivates HAM through its run-time behaviour (Table 14): at
 serving time a recommendation request has to be answered in microseconds
@@ -13,8 +13,6 @@ on top of a trained model:
   ``top_k`` / ``recommend_batch`` verbs :class:`~repro.serving.engine.RankingVerbs`
   derives from it) with zero per-request re-embedding, plus
   incremental ``observe(user, item)`` updates for session-style traffic.
-* :class:`~repro.serving.recommender.Recommender` — the original serving
-  facade, now a thin wrapper over the engine.
 * :func:`~repro.serving.explain.explain_ham_score` /
   :func:`~repro.serving.explain.explain_ham_scores` — per-factor
   decompositions of HAM's linear score (Eq. 7/8).
@@ -45,7 +43,6 @@ from repro.serving.gateway import (
     ServingGateway,
 )
 from repro.serving.deploy import engine_from_checkpoint, model_from_checkpoint
-from repro.serving.recommender import Recommender
 from repro.serving.explain import (
     HAMScoreExplanation,
     explain_ham_score,
@@ -61,7 +58,6 @@ __all__ = [
     "GatewayOverloadedError",
     "GatewayStats",
     "ServingGateway",
-    "Recommender",
     "engine_from_checkpoint",
     "model_from_checkpoint",
     "HAMScoreExplanation",

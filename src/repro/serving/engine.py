@@ -37,10 +37,18 @@ removes the per-request padding and masking overhead.
 ``observe(user, item)`` supports session-style traffic: it appends to the
 user's history, updates the padded row and the seen arrays in place, and
 invalidates only that user's cached representation.
+
+Every engine copy in the system is a ``ScoringEngine`` built one of two
+ways: from a model and its histories, or with
+:meth:`ScoringEngine.from_arrays` over a snapshot's named arrays (shard
+workers, the sharded engine's degraded fallback, cluster nodes
+bootstrapped from a peer frame or a same-host arena).
+:func:`snapshot_arrays` is the one writer of that layout.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +58,10 @@ from repro.data.seen import SeenIndex
 from repro.data.windows import pad_histories, pad_id_for
 from repro.evaluation.ranking import top_k_items
 from repro.models.base import FrozenScorer, SequentialRecommender
-from repro.retrieval.index import ANNIndex, RetrievalConfig
+from repro.retrieval.index import ANN_PREFIX, ANNIndex, RetrievalConfig
 
-__all__ = ["Recommendation", "RankingVerbs", "ScoringEngine", "recommendations"]
+__all__ = ["Recommendation", "RankingVerbs", "ScoringEngine", "recommendations",
+           "snapshot_arrays"]
 
 
 @dataclass(frozen=True)
@@ -123,26 +132,17 @@ class ScoringEngine(RankingVerbs):
     copy_weights:
         Snapshot the scoring head by copy (``True``, the serving
         contract) or by view onto the live parameters (``False``, used by
-        the evaluators and the back-compat facade so in-place optimizer
-        updates keep flowing through).
+        the evaluators so in-place optimizer updates keep flowing
+        through).
     cache_representations:
         Cache per-user representations across requests (``True``, the
         serving contract).  ``False`` recomputes them on every request.
-    live_histories:
-        ``False`` (the serving contract): snapshot the histories at
-        construction and evolve them only through :meth:`observe`.
-        ``True``: keep a reference to the caller's lists and re-read them
-        on every request — the behaviour of the original ``Recommender``,
-        whose callers record new interactions by appending to their own
-        history lists.  Implies no representation caching; ``observe``
-        appends to the caller's lists.
     """
 
     def __init__(self, model: SequentialRecommender, histories: list[list[int]],
                  exclude_seen: bool = True, micro_batch_size: int = 1024,
                  precompute: bool = False, copy_weights: bool = True,
-                 cache_representations: bool = True,
-                 live_histories: bool = False):
+                 cache_representations: bool = True):
         if len(histories) < model.num_users:
             raise ValueError(
                 f"histories cover {len(histories)} users but the model expects "
@@ -150,18 +150,10 @@ class ScoringEngine(RankingVerbs):
             )
         self._wire_core(model, exclude_seen, micro_batch_size)
         self._copy_weights = copy_weights
-        self._live = live_histories
-        self._cache_representations = cache_representations and not live_histories
-
-        if live_histories:
-            self._histories = histories
-            self._inputs = None
-        else:
-            self._histories = [list(histories[user]) for user in range(self.num_users)]
-            self._inputs = pad_histories(self._histories, self.input_length, self.pad_id)
+        self._histories = [list(histories[user]) for user in range(self.num_users)]
+        self._inputs = pad_histories(self._histories, self.input_length, self.pad_id)
         # Seen-item index arrays, built lazily on the first masked request
-        # (an exclude_seen=False engine never pays for them) and never at
-        # all in live mode, where they would go stale.
+        # (an exclude_seen=False engine never pays for them).
         self._seen_items: list[np.ndarray] | None = None
 
         # Fast path: models exposing the representation/embedding
@@ -172,14 +164,14 @@ class ScoringEngine(RankingVerbs):
         except NotImplementedError:
             pass
         else:
-            if self._cache_representations:
+            if cache_representations:
                 self._alloc_representation_cache()
         if precompute:
             self.materialize()
 
     def _wire_core(self, model: SequentialRecommender, exclude_seen: bool,
                    micro_batch_size: int) -> None:
-        """Shared field wiring of ``__init__`` and :meth:`from_snapshot`."""
+        """Shared field wiring of ``__init__`` and :meth:`from_arrays`."""
         if micro_batch_size < 1:
             raise ValueError("micro_batch_size must be positive")
         model.eval()
@@ -194,9 +186,6 @@ class ScoringEngine(RankingVerbs):
         self._representations: np.ndarray | None = None
         self._rep_valid: np.ndarray | None = None
         self._ann: ANNIndex | None = None
-        # History-less snapshot engines raise on observe() unless
-        # from_snapshot() opted them in (the shard workers do).
-        self._snapshot_observable = False
 
     def _freeze_model(self) -> FrozenScorer:
         """Snapshot the scoring head; a copied head gets its column table.
@@ -218,49 +207,48 @@ class ScoringEngine(RankingVerbs):
         self._rep_valid = np.zeros(self.num_users, dtype=bool)
 
     @classmethod
-    def from_snapshot(cls, model: SequentialRecommender, *, inputs: np.ndarray,
-                      seen_items: list[np.ndarray] | None,
-                      frozen: FrozenScorer | None,
-                      exclude_seen: bool = True,
-                      micro_batch_size: int = 1024,
-                      observable: bool = False) -> "ScoringEngine":
-        """Build an engine directly from pre-materialized arrays.
+    def from_arrays(cls, model: SequentialRecommender,
+                    arrays: Mapping[str, np.ndarray], *,
+                    exclude_seen: bool = True,
+                    micro_batch_size: int = 1024) -> "ScoringEngine":
+        """Build an engine over the named arrays of a scoring snapshot.
 
-        This is the constructor the multi-process substrate uses: a shard
-        worker attaches the parent's padded ``inputs``, per-user
-        ``seen_items`` views and :class:`FrozenScorer` arrays from
-        ``multiprocessing.shared_memory`` and wires them into a regular
-        engine — every scoring request then runs the exact serial code
-        path, which is what makes sharded results bit-identical to the
-        single-process engine.
+        The one reader of the layout :func:`snapshot_arrays` writes: shard workers and the
+        degraded fallback wire the sharded engine's shared-memory arena
+        through it, cluster nodes a peer's snapshot frame or a same-host
+        arena.  Every scoring request then runs the exact serial code
+        path over the given arrays, which is what makes all of them
+        bit-identical to the engine the snapshot was taken from.
 
-        Snapshot engines have no history lists, so :meth:`history`
-        raises.  By default :meth:`observe` raises too; ``observable=True``
-        opts a snapshot engine into incremental updates — ``inputs`` must
-        then be writable (the shard workers attach their padded-input
-        block writable for exactly this) and ``observe`` evolves the
-        padded row, the per-user seen array and the representation-cache
-        validity bit without a backing history list.
+        The arrays alone decide the engine's shape: ``candidates`` (and
+        ``item_bias``) give the frozen scoring head, ``ann_*`` arrays an
+        attached ANN index, and a writable ``inputs`` array makes
+        :meth:`observe` available (it evolves the padded row, the
+        per-user seen array and the representation-cache bit without a
+        backing history list).  Snapshot engines hold no history lists,
+        so :meth:`history` raises.  The arrays are validated first, since
+        they may come from a peer: a malformed snapshot raises
+        ``ValueError`` naming the offending key instead of masking the
+        wrong items or failing mid-request.
         """
         engine = cls.__new__(cls)
         engine._wire_core(model, exclude_seen, micro_batch_size)
+        _validate_snapshot(arrays, engine.num_users, engine.num_items,
+                           engine.input_length)
         engine._copy_weights = True
-        engine._live = False
-        engine._cache_representations = frozen is not None
         engine._histories = None
-        engine._snapshot_observable = observable
-        if observable and not inputs.flags.writeable:
-            raise ValueError("observable=True needs writable inputs")
-        if inputs.shape != (engine.num_users, engine.input_length):
-            raise ValueError(
-                f"inputs shape {inputs.shape} does not match "
-                f"({engine.num_users}, {engine.input_length})"
-            )
-        engine._inputs = inputs
-        engine._seen_items = seen_items
-        if frozen is not None:
-            engine._frozen = frozen.with_item_columns()
+        engine._inputs = arrays["inputs"]
+        engine._seen_items = _seen_views(arrays["seen_indptr"],
+                                         arrays["seen_items"])
+        if "candidates" in arrays:
+            engine._frozen = FrozenScorer(
+                num_items=engine.num_items,
+                candidate_embeddings=arrays["candidates"],
+                item_bias=arrays.get("item_bias"),
+            ).with_item_columns()
             engine._alloc_representation_cache()
+        if f"{ANN_PREFIX}header" in arrays:
+            engine.attach_ann_index(ANNIndex.from_arrays(arrays))
         return engine
 
     # ------------------------------------------------------------------ #
@@ -324,7 +312,7 @@ class ScoringEngine(RankingVerbs):
                 f"{type(self.model).__name__} has no candidate-embedding "
                 "table; ANN retrieval needs the representation fast path"
             )
-        table = self._scorer().candidate_embeddings[: self.num_items]
+        table = self._frozen.candidate_embeddings[: self.num_items]
         self._ann = ANNIndex.build(np.ascontiguousarray(table), config)
         return self._ann
 
@@ -355,11 +343,6 @@ class ScoringEngine(RankingVerbs):
         """Materialize the per-user seen arrays (lazy, one CSR pass)."""
         if self._seen_items is not None:
             return
-        if self._histories is None:
-            raise RuntimeError(
-                "this snapshot engine was built without seen-item arrays; "
-                "masked requests are unavailable"
-            )
         index = SeenIndex.from_histories(self._histories, self.num_items)
         self._seen_items = [index.user_items(user) for user in range(self.num_users)]
 
@@ -402,7 +385,7 @@ class ScoringEngine(RankingVerbs):
         n_probe = index.config.n_probe if n_probe is None else int(n_probe)
         multiplier = (index.config.candidate_multiplier if multiplier is None
                       else int(multiplier))
-        scorer = self._scorer()
+        scorer = self._frozen
         table = scorer.candidate_embeddings[: self.num_items]
         bias = (scorer.item_bias[: self.num_items]
                 if scorer.item_bias is not None else None)
@@ -459,19 +442,16 @@ class ScoringEngine(RankingVerbs):
         """
         self._validate_user(user)
         self._validate_item(item)
-        if self._histories is None:
-            if not self._snapshot_observable:
-                raise RuntimeError(
-                    "snapshot engines are read-only; observe() is only "
-                    "available on engines built from histories or snapshots "
-                    "taken with observable=True"
-                )
-        else:
+        if not self._inputs.flags.writeable:
+            raise RuntimeError(
+                "this snapshot engine's inputs are read-only; observe() "
+                "needs an engine built from histories or writable inputs"
+            )
+        if self._histories is not None:
             self._histories[user].append(item)
-        if self._inputs is not None:
-            row = self._inputs[user]
-            row[:-1] = row[1:]
-            row[-1] = item
+        row = self._inputs[user]
+        row[:-1] = row[1:]
+        row[-1] = item
         if self._seen_items is not None:
             self._seen_items[user] = np.append(self._seen_items[user], item)
         if self._rep_valid is not None:
@@ -518,24 +498,6 @@ class ScoringEngine(RankingVerbs):
             raise ValueError(f"user id {bad} outside [0, {self.num_users})")
         return users
 
-    def _inputs_for(self, users: np.ndarray) -> np.ndarray:
-        if self._inputs is not None:
-            return self._inputs[users]
-        return pad_histories(self._histories, self.input_length, self.pad_id,
-                             users=users)
-
-    def _scorer(self) -> FrozenScorer:
-        """The scoring head to use for the current request.
-
-        Live engines re-freeze on every call: ``freeze(copy=False)`` only
-        tracks in-place weight updates when ``candidate_item_embeddings``
-        returns a parameter view, and models like FPMC build a fresh
-        derived table per call instead.
-        """
-        if self._live:
-            return self.model.freeze(copy=False)
-        return self._frozen
-
     def _compute_representations(self, users: np.ndarray) -> np.ndarray:
         """Model forward over ``users``' inputs, in micro-batches."""
         result = np.empty((users.size, self._frozen.embedding_dim),
@@ -544,7 +506,7 @@ class ScoringEngine(RankingVerbs):
             chunk = users[start:start + self.micro_batch_size]
             with no_grad():
                 result[start:start + self.micro_batch_size] = (
-                    self.model.sequence_representation(chunk, self._inputs_for(chunk)).data
+                    self.model.sequence_representation(chunk, self._inputs[chunk]).data
                 )
         return result
 
@@ -564,12 +526,6 @@ class ScoringEngine(RankingVerbs):
 
     def _mask_seen(self, scores: np.ndarray, users: np.ndarray) -> None:
         """Push each user's seen items to ``-inf``, in place."""
-        if self._live:
-            for row, user in enumerate(users):
-                history = self._histories[user]
-                if history:
-                    scores[row, np.asarray(history, dtype=np.int64)] = -np.inf
-            return
         # Built through the shared CSR index (one pass over the
         # histories); the per-user views stay cheap to index with and
         # observe() replaces them per user as interactions arrive.
@@ -594,11 +550,11 @@ class ScoringEngine(RankingVerbs):
         """
         users = self._as_user_array(users)
         if self._frozen is not None:
-            return self._scorer().scores_from_representation(self._representations_for(users))
+            return self._frozen.scores_from_representation(self._representations_for(users))
         chunks = []
         for start in range(0, users.size, self.micro_batch_size):
             chunk = users[start:start + self.micro_batch_size]
-            chunks.append(self.model.score_all(chunk, self._inputs_for(chunk)))
+            chunks.append(self.model.score_all(chunk, self._inputs[chunk]))
         if not chunks:
             return np.zeros((0, self.num_items), dtype=np.float64)
         return chunks[0] if len(chunks) == 1 else np.vstack(chunks)
@@ -663,15 +619,24 @@ class ScoringEngine(RankingVerbs):
         return float(self.score_all([user])[0, item])
 
     def similar_items(self, item: int, k: int = 10) -> list[Recommendation]:
-        """Items most similar to ``item`` by candidate-embedding cosine."""
+        """Items most similar to ``item`` under the model's own geometry.
+
+        Gradient-based models answer with the cosine between candidate
+        embeddings; count-based models that expose ``neighbors``
+        (ItemKNN) answer from their item-similarity matrix.
+        """
         self._validate_item(item)
         if k < 1:
             raise ValueError("k must be positive")
         if self._frozen is None:
-            raise NotImplementedError(
-                f"{type(self.model).__name__} has no item embeddings"
-            )
-        table = self._scorer().candidate_embeddings[: self.num_items]
+            if not hasattr(self.model, "neighbors"):
+                raise NotImplementedError(
+                    f"{type(self.model).__name__} has no item embeddings"
+                )
+            return [Recommendation(item=neighbor, score=similarity, rank=rank)
+                    for rank, (neighbor, similarity)
+                    in enumerate(self.model.neighbors(item, k))]
+        table = self._frozen.candidate_embeddings[: self.num_items]
         norms = np.linalg.norm(table, axis=1)
         norms = np.where(norms > 0, norms, 1.0)
         similarities = (table @ table[item]) / (norms * norms[item])
@@ -681,3 +646,72 @@ class ScoringEngine(RankingVerbs):
             Recommendation(item=int(other), score=float(similarities[other]), rank=rank)
             for rank, other in enumerate(order)
         ]
+
+
+# ---------------------------------------------------------------------- #
+# The snapshot layout: one writer (snapshot_arrays), one reader
+# (ScoringEngine.from_arrays)
+# ---------------------------------------------------------------------- #
+def snapshot_arrays(inputs: np.ndarray, seen_indptr: np.ndarray,
+                    seen_items: np.ndarray, frozen: FrozenScorer | None = None,
+                    ann: ANNIndex | None = None) -> dict[str, np.ndarray]:
+    """The named arrays of a scoring snapshot: the one writer of the layout.
+
+    ``inputs`` is the ``(num_users, input_length)`` padded history
+    matrix and ``seen_indptr`` / ``seen_items`` the CSR seen arrays.  A
+    frozen scoring head adds ``candidates`` (``(num_items + 1, d)``, pad
+    row included) and, when the model has one, ``item_bias``; an ANN
+    index adds its ``ann_*`` arrays.  Which keys are present is the
+    whole description of the snapshot's shape, so the sharded engine's
+    shared-memory arena and the cluster's snapshot frame carry no flags
+    beside it.
+    """
+    arrays = {"inputs": inputs, "seen_indptr": seen_indptr,
+              "seen_items": seen_items}
+    if frozen is not None:
+        arrays["candidates"] = frozen.candidate_embeddings
+        if frozen.item_bias is not None:
+            arrays["item_bias"] = frozen.item_bias
+    if ann is not None:
+        arrays.update(ann.to_arrays())
+    return arrays
+
+
+def _validate_snapshot(arrays: Mapping[str, np.ndarray], num_users: int,
+                       num_items: int, input_length: int) -> None:
+    """Raise ``ValueError`` naming the first key that breaks the layout."""
+    def fail(key: str, problem: str):
+        raise ValueError(f"snapshot array {key!r} {problem}")
+
+    for key in ("inputs", "seen_indptr", "seen_items"):
+        if key not in arrays:
+            fail(key, "is missing")
+    if arrays["inputs"].shape != (num_users, input_length):
+        fail("inputs", f"has shape {arrays['inputs'].shape}, expected "
+                       f"{(num_users, input_length)}")
+    indptr, items = arrays["seen_indptr"], arrays["seen_items"]
+    if indptr.shape != (num_users + 1,):
+        fail("seen_indptr", f"has shape {indptr.shape}, expected "
+                            f"{(num_users + 1,)}")
+    if items.ndim != 1:
+        fail("seen_items", f"has shape {items.shape}, expected one dimension")
+    if indptr[0] != 0 or indptr[-1] != items.shape[0] or (np.diff(indptr) < 0).any():
+        fail("seen_indptr", f"is not a CSR index over {items.shape[0]} seen "
+                            "items (must start at 0, never decrease and end "
+                            "at len(seen_items))")
+    if items.size and (items.min() < 0 or items.max() >= num_items):
+        fail("seen_items", f"holds ids outside [0, {num_items})")
+    if "candidates" in arrays:
+        candidates = arrays["candidates"]
+        if candidates.ndim != 2 or candidates.shape[0] != num_items + 1:
+            fail("candidates", f"has shape {candidates.shape}, expected "
+                               f"({num_items + 1}, d)")
+    if "item_bias" in arrays and arrays["item_bias"].shape != (num_items + 1,):
+        fail("item_bias", f"has shape {arrays['item_bias'].shape}, expected "
+                          f"{(num_items + 1,)}")
+
+
+def _seen_views(indptr: np.ndarray, items: np.ndarray) -> list[np.ndarray]:
+    """Per-user item views into the CSR seen arrays."""
+    return [items[indptr[user]:indptr[user + 1]]
+            for user in range(indptr.shape[0] - 1)]

@@ -7,8 +7,10 @@ promises, all deterministic and single-core safe:
   short-read detection before any large allocation;
 * node serving — ``EngineNode`` parity with the serial engine over TCP
   and Unix sockets, graceful drain (verb and SIGTERM), health/stats;
-* snapshot hand-off — ``from_peer`` bootstrap carrying live ``observe``
-  state, zero-copy same-host ``from_arena`` attach;
+* snapshot hand-off — the frame's golden layout, every snapshot reader
+  bit-identical to the serial engine before and after ``observe``,
+  malformed snapshots refused, ``from_peer`` bootstrap carrying live
+  ``observe`` state, zero-copy same-host ``from_arena`` attach;
 * routing — ``ClusterRouter`` failover across replicas under SIGKILL,
   dropped connections, garbled replies, partitions and stalls; retry
   budgets that respect the caller's deadline; stale-reply dropping;
@@ -39,18 +41,20 @@ from repro.cluster import (
     NetFaultPlan,
     ProtocolError,
     encode_frame,
+    engine_from_arena,
     engine_from_snapshot_payload,
     recv_frame,
     request_reply,
     send_frame,
-    serialize_engine_snapshot,
+    serialize_live_engine,
     spawn_node,
     user_range,
 )
 from repro.cluster.faults import _NET_STREAM, GARBLED_REPLY
 from repro.cluster.router import _ranges_of
-from repro.models import create_model
+from repro.models import Popularity, create_model
 from repro.parallel.faults import fault_rng
+from repro.retrieval import RetrievalConfig
 from repro.parallel.shm import SHM_PREFIX, SharedArena
 from repro.serving import ScoringEngine, ServingGateway
 
@@ -170,7 +174,7 @@ def test_recv_frame_rejects_garbage_before_allocating():
 def test_snapshot_payload_rebuilds_bit_identical_engine():
     model, histories = _workload()
     serial = _serial_engine(model, histories)
-    meta, arrays = serialize_engine_snapshot(model, histories)
+    meta, arrays = serialize_live_engine(ScoringEngine(model, histories))
     # Survive an actual framing round-trip, as from_peer does.
     left, right = socket.socketpair()
     try:
@@ -184,6 +188,165 @@ def test_snapshot_payload_rebuilds_bit_identical_engine():
                           serial.top_k(ALL_USERS, 5))
     assert np.array_equal(rebuilt.masked_scores(ALL_USERS),
                           serial.masked_scores(ALL_USERS))
+
+
+def _snapshot(name: str = "Caser", ann: bool = True):
+    """Model, histories and the snapshot frame of a fresh serial engine."""
+    rng = np.random.default_rng(0)
+    histories = [rng.integers(0, NUM_ITEMS, size=rng.integers(8, 14)).tolist()
+                 for _ in range(NUM_USERS)]
+    if name == "POP":
+        model = Popularity(NUM_USERS, NUM_ITEMS).fit_counts(histories)
+    else:
+        model = create_model(name, NUM_USERS, NUM_ITEMS,
+                             rng=np.random.default_rng(1), embedding_dim=8)
+    engine = ScoringEngine(model, histories)
+    if ann:
+        engine.build_ann_index(RetrievalConfig())
+    meta, arrays = serialize_live_engine(engine)
+    return model, histories, meta, arrays
+
+
+def _assert_scored_equal(engine, serial) -> None:
+    """Every item's id and score, masked and unmasked, bit for bit."""
+    for exclude in (True, False):
+        ours = engine.top_k_scored(ALL_USERS, NUM_ITEMS, exclude_seen=exclude)
+        theirs = serial.top_k_scored(ALL_USERS, NUM_ITEMS, exclude_seen=exclude)
+        assert np.array_equal(ours[0], theirs[0])
+        assert np.array_equal(ours[1], theirs[1])
+
+
+@pytest.mark.fast
+def test_snapshot_frame_golden_layout():
+    """The frame's names, dtypes and meta keys, pinned: a change here
+    breaks every peer that decodes an older or newer frame."""
+    _model, _histories, meta, arrays = _snapshot()
+    assert set(meta) == {"exclude_seen", "micro_batch_size"}
+    assert {name: value.dtype.str for name, value in arrays.items()} == {
+        "model_pickle": "|u1",
+        "inputs": "<i8",
+        "seen_indptr": "<i8",
+        "seen_items": "<i8",
+        "candidates": "<f8",
+        "item_bias": "<f8",
+        "ann_header": "|u1",
+        "ann_hyperplanes": "<f8",
+        "ann_bucket_indptr": "<i8",
+        "ann_bucket_items": "<i8",
+        "ann_dials": "<i8",
+    }
+    assert arrays["inputs"].shape[0] == NUM_USERS
+    assert arrays["seen_indptr"].shape == (NUM_USERS + 1,)
+    assert arrays["candidates"].shape[0] == NUM_ITEMS + 1  # pad row kept
+    assert arrays["item_bias"].shape == (NUM_ITEMS + 1,)
+    # Optional keys are simply absent: no flag rides beside them.
+    _model, _histories, meta, arrays = _snapshot("POP", ann=False)
+    assert set(arrays) == {"model_pickle", "inputs", "seen_indptr", "seen_items"}
+
+
+@pytest.mark.fast
+def test_snapshot_frame_with_legacy_flags_decodes_unchanged():
+    """Frames from before the layout had one reader carried ``has_*``
+    flags for the head, the bias and the ANN index in their meta; key
+    presence alone decides now, so those frames decode to the same
+    engine."""
+    model, histories, meta, arrays = _snapshot()
+    legacy = dict(meta, **{f"has_{part}": True
+                           for part in ("frozen", "bias", "ann")})
+    frame = recv_frame_of(encode_frame("ok", legacy, arrays))
+    engine = engine_from_snapshot_payload(frame.meta, frame.arrays)
+    serial = ScoringEngine(model, histories)
+    serial.build_ann_index(RetrievalConfig())
+    _assert_scored_equal(engine, serial)
+    assert np.array_equal(engine.top_k(ALL_USERS, 5, mode="ann"),
+                          serial.top_k(ALL_USERS, 5, mode="ann"))
+
+
+def recv_frame_of(data: bytes):
+    """Decode ``data`` through a real socket pair, as a peer would."""
+    left, right = socket.socketpair()
+    try:
+        left.sendall(data)
+        return recv_frame(right)
+    finally:
+        left.close()
+        right.close()
+
+
+@pytest.mark.fast
+@pytest.mark.parametrize("name", ["HAMs_m", "Caser", "POP"])
+def test_snapshot_payload_matches_serial_before_and_after_observes(name):
+    model, histories, meta, arrays = _snapshot(name, ann=False)
+    frame = recv_frame_of(encode_frame("ok", meta, arrays))
+    engine = engine_from_snapshot_payload(frame.meta, frame.arrays)
+    serial = ScoringEngine(model, histories)
+    _assert_scored_equal(engine, serial)
+    for user, item in [(0, 3), (5, 17), (0, 21)]:
+        engine.observe(user, item)
+        serial.observe(user, item)
+    _assert_scored_equal(engine, serial)
+
+
+@pytest.mark.fast
+@pytest.mark.parametrize("writable", [True, False])
+def test_engine_from_arena_matches_serial_and_observes_only_when_writable(writable):
+    from repro.parallel.shm import SharedArena
+
+    model, histories, _meta, arrays = _snapshot("HAMs_m", ann=False)
+    del arrays["model_pickle"]
+    serial = ScoringEngine(model, histories)
+    arena = SharedArena.publish(arrays,
+                                writable_keys={"inputs"} if writable else set())
+    engine, attached = engine_from_arena(model, arena.layout)
+    try:
+        _assert_scored_equal(engine, serial)
+        if writable:
+            for user, item in [(0, 3), (5, 17), (0, 21)]:
+                engine.observe(user, item)
+                serial.observe(user, item)
+            _assert_scored_equal(engine, serial)
+        else:
+            with pytest.raises(RuntimeError, match="read-only"):
+                engine.observe(0, 3)
+            _assert_scored_equal(engine, serial)
+    finally:
+        attached.close()
+        arena.close()
+
+
+def _corrupt(arrays: dict, key: str, value) -> dict:
+    return dict(arrays, **{key: np.asarray(value)})
+
+
+@pytest.mark.fast
+@pytest.mark.parametrize("key,mutate", [
+    # A -1 would silently mask item N-1 and leave the real item unmasked.
+    ("seen_items", lambda a: _corrupt(a, "seen_items",
+                                      np.where(np.arange(a["seen_items"].size) == 0,
+                                               -1, a["seen_items"]))),
+    # An id >= N would raise IndexError in the middle of a request.
+    ("seen_items", lambda a: _corrupt(a, "seen_items",
+                                      np.where(np.arange(a["seen_items"].size) == 0,
+                                               NUM_ITEMS, a["seen_items"]))),
+    ("seen_indptr", lambda a: _corrupt(a, "seen_indptr", a["seen_indptr"][:-1])),
+    ("seen_indptr", lambda a: _corrupt(a, "seen_indptr", a["seen_indptr"] + 1)),
+    ("seen_indptr", lambda a: _corrupt(  # decreasing: users 1 and 2 swapped
+        a, "seen_indptr",
+        a["seen_indptr"][[0, 2, 1, *range(3, NUM_USERS + 1)]])),
+    ("seen_indptr", lambda a: _corrupt(a, "seen_indptr",
+                                       np.r_[a["seen_indptr"][:-1], a["seen_indptr"][-1] - 1])),
+    ("inputs", lambda a: _corrupt(a, "inputs", a["inputs"][:-1])),
+    ("inputs", lambda a: _corrupt(a, "inputs", a["inputs"][:, :-1])),
+    ("candidates", lambda a: _corrupt(a, "candidates", a["candidates"][:-1])),
+    ("item_bias", lambda a: _corrupt(a, "item_bias", a["item_bias"][:-1])),
+], ids=["seen-item-minus-one", "seen-item-past-catalogue", "indptr-too-short",
+        "indptr-not-from-zero", "indptr-decreasing", "indptr-short-of-items",
+        "inputs-missing-user", "inputs-short-rows", "candidates-no-pad-row",
+        "bias-no-pad-row"])
+def test_malformed_snapshot_is_refused_naming_the_key(key, mutate):
+    _model, _histories, meta, arrays = _snapshot(ann=False)
+    with pytest.raises(ValueError, match=repr(key)):
+        engine_from_snapshot_payload(meta, mutate(arrays))
 
 
 # ---------------------------------------------------------------------- #
@@ -371,7 +534,6 @@ def test_recommend_agrees_across_backends_when_k_exceeds_unseen():
         for _ in range(num_users - 1)]
     expected = ScoringEngine(model, histories).recommend(0, 5)
     with ShardedScoringEngine(model, histories, n_workers=2) as sharded:
-        assert sharded.is_parallel
         assert sharded.recommend(0, 5) == expected
     nodes = [EngineNode(ScoringEngine(model, histories), own_engine=True,
                         node_index=index) for index in range(2)]

@@ -377,6 +377,26 @@ class TestTiming:
         assert timing.seconds_per_user > 0
         assert timing.num_users == evaluator.num_evaluable_users
         assert timing.repeats == 2
+        # The fastest pass is reported, so the per-user figure divides
+        # one pass by the users, not the sum of both passes.
+        assert timing.seconds_per_user == timing.total_seconds / timing.num_users
+
+    def test_reports_the_fastest_pass(self, monkeypatch):
+        """Each pass is timed on its own and the minimum wins, so one
+        slow pass (a scheduler hiccup) does not move the figure."""
+        import repro.evaluation.timing as timing_module
+
+        dataset = pattern_dataset(seed=7)
+        split = split_setting(dataset, "80-20-CUT")
+        evaluator = RankingEvaluator(split)
+        model = HAM(dataset.num_users, dataset.num_items, embedding_dim=8,
+                    rng=np.random.default_rng(4))
+        # Pass lengths 5, 2 and 9 clock units, read at each pass boundary.
+        ticks = iter([0.0, 5.0, 10.0, 12.0, 20.0, 29.0])
+        monkeypatch.setattr(timing_module.time, "perf_counter", lambda: next(ticks))
+        timing = measure_inference_time(model, evaluator, repeats=3)
+        assert timing.total_seconds == 2.0
+        assert timing.seconds_per_user == 2.0 / evaluator.num_evaluable_users
 
     def test_invalid_repeats(self):
         dataset = pattern_dataset(seed=8)

@@ -386,7 +386,6 @@ def test_gateway_over_sharded_engine_matches_serial():
     histories = [serial.history(user) for user in range(NUM_USERS)]
     users = np.arange(NUM_USERS, dtype=np.int64)
     with ShardedScoringEngine(serial.model, histories, n_workers=2) as sharded:
-        assert sharded.is_parallel
         with ServingGateway(sharded, max_batch=5, cache_size=4) as gateway:
             futures = [gateway.submit(int(user), 1 + int(user) % 9)
                        for user in users]
@@ -564,7 +563,7 @@ def test_gateway_refresh_clears_cache_on_serial_engines_only():
     sharded = ShardedScoringEngine(engine.model,
                                    [engine.history(user)
                                     for user in range(NUM_USERS)],
-                                   n_workers=1)
+                                   n_workers=2)
     try:
         with ServingGateway(sharded, max_batch=4) as gateway:
             with pytest.raises(NotImplementedError):

@@ -30,9 +30,11 @@ from repro.data.splits import split_setting
 from repro.models import create_model
 from repro.models.base import FrozenScorer
 from repro.parallel import (
+    RestartPolicy,
     SharedArena,
     ShardedScoringEngine,
     default_start_method,
+    make_scoring_engine,
     shard_bounds,
 )
 from repro.parallel.shm import SHM_PREFIX
@@ -106,7 +108,7 @@ def _score_in_subprocess(layout, options, queue):
     try:
         seen = SeenIndex(arena.array("indptr"), arena.array("items"),
                          options["num_items"])
-        bias = arena.array("bias") if "bias" in arena.keys() else None
+        bias = arena.arrays().get("bias")
         frozen = FrozenScorer(num_items=options["num_items"],
                               candidate_embeddings=arena.array("table"),
                               item_bias=bias)
@@ -208,7 +210,6 @@ class TestShardedScoringEngine:
         shuffled = np.random.default_rng(0).permutation(split.num_users).tolist()
         with ShardedScoringEngine(model, histories, n_workers=2,
                                   micro_batch_size=5) as sharded:
-            assert sharded.is_parallel
             assert_full_rankings_equal(sharded, serial, users)
             assert np.array_equal(sharded.top_k(users, 5), serial.top_k(users, 5))
             # Shuffled + repeated ids must scatter back to request order.
@@ -294,19 +295,32 @@ class TestShardedScoringEngine:
             with pytest.raises(ValueError):
                 sharded.observe(0, NUM_ITEMS)
 
-    def test_observe_serial_fallback(self):
-        split = tiny_split(seed=16)
+    @pytest.mark.parametrize("consumer", ["worker", "degraded"])
+    def test_arena_readers_match_serial_before_and_after_observes(self, consumer):
+        """The shard workers and the degraded in-process fallback (a
+        ``RestartPolicy`` without restarts) both read the arena through
+        ``ScoringEngine.from_arrays``; each answers every item's id and
+        score like the serial engine, before and after observes."""
+        split = tiny_split(seed=17)
         model = trained_model(split)
         histories = split.train_plus_valid()
         serial = ScoringEngine(model, histories)
-        engine = ShardedScoringEngine(model, histories, n_workers=1)
-        try:
-            serial.observe(2, 4)
-            engine.observe(2, 4)
-            assert engine.history(2) == serial.history(2)
-            assert np.array_equal(engine.top_k([2], 5), serial.top_k([2], 5))
-        finally:
-            engine.close()
+        users = list(range(split.num_users))
+        last = split.num_users - 1
+        with ShardedScoringEngine(model, histories, n_workers=2,
+                                  restart_policy=RestartPolicy(max_restarts=0),
+                                  ) as sharded:
+            if consumer == "degraded":
+                for worker in sharded._workers:
+                    worker.kill()
+                    worker.join(timeout=10.0)
+            assert_full_rankings_equal(sharded, serial, users)
+            for user, item in [(1, 5), (last, 9), (1, 7)]:
+                serial.observe(user, item)
+                sharded.observe(user, item)
+            assert_full_rankings_equal(sharded, serial, users)
+            expected = [0, 1] if consumer == "degraded" else []
+            assert sharded.health()["degraded_shards"] == expected
 
     def test_count_based_fallback(self):
         from repro.models import Popularity
@@ -319,18 +333,19 @@ class TestShardedScoringEngine:
         with ShardedScoringEngine(pop, histories, n_workers=2) as sharded:
             assert np.array_equal(sharded.top_k(users, 5), serial.top_k(users, 5))
 
-    def test_serial_fallback_below_two_workers(self):
+    def test_fewer_than_two_workers_is_refused(self):
+        """The serial choice is the factory's: the sharded engine itself
+        refuses ``n_workers < 2`` before it spawns or publishes anything."""
         split = tiny_split(seed=4)
         model = trained_model(split)
         histories = split.train_plus_valid()
-        engine = ShardedScoringEngine(model, histories, n_workers=1)
-        try:
-            assert not engine.is_parallel
-            assert np.array_equal(
-                engine.top_k([0, 1], 3),
-                ScoringEngine(model, histories).top_k([0, 1], 3))
-        finally:
-            engine.close()
+        for n_workers in (0, 1):
+            with pytest.raises(ValueError, match="make_scoring_engine"):
+                ShardedScoringEngine(model, histories, n_workers=n_workers)
+            engine = make_scoring_engine(model, histories, n_workers=n_workers)
+            assert type(engine) is ScoringEngine
+            assert np.array_equal(engine.top_k([0, 1], 3),
+                                  ScoringEngine(model, histories).top_k([0, 1], 3))
 
     def test_validation_and_shutdown(self):
         split = tiny_split(seed=5)

@@ -108,6 +108,22 @@ def _kill_worker(engine, shard: int) -> None:
 
 ALL_USERS = np.arange(NUM_USERS)
 
+#: close() budget for the stall scenarios: a stalled worker never reads
+#: its shutdown sentinel, so close() waits this long before it joins
+#: and terminates the worker.
+_STALL_SHUTDOWN_WAIT_S = 2.0
+
+
+def _assert_stalled_worker_terminated(workers, stalled_shard: int,
+                                      shm_before: set[str]) -> None:
+    """close() terminated the stalled worker, let the healthy one exit by
+    itself and left no shared-memory segment behind."""
+    for shard, worker in enumerate(workers):
+        assert not worker.is_alive()
+        expected = -signal.SIGTERM if shard == stalled_shard else 0
+        assert worker.exitcode == expected, (shard, worker.exitcode)
+    assert _shm_entries() - shm_before == set()
+
 
 # ---------------------------------------------------------------------- #
 # Policy / supervisor / fault-plan units (no multiprocessing)
@@ -294,7 +310,10 @@ def test_circuit_breaker_fails_fast_inside_backoff_window():
         assert engine.health()["shards"][0]["restarts"] == 2
 
 
-def test_deadline_expiry_does_not_poison_later_requests():
+def test_deadline_expiry_does_not_poison_later_requests(monkeypatch):
+    monkeypatch.setattr("repro.parallel.sharded._SHUTDOWN_WAIT_S",
+                        _STALL_SHUTDOWN_WAIT_S)
+    shm_before = _shm_entries()
     model, histories = _workload()
     serial = ScoringEngine(model, _copies(histories), exclude_seen=True)
     shard0_users, shard1_users = _shard_users()
@@ -309,6 +328,8 @@ def test_deadline_expiry_does_not_poison_later_requests():
         # and the engine stays open.
         assert np.array_equal(engine.top_k(shard1_users, 5, timeout=30.0),
                               reference)
+        workers = list(engine._workers)
+    _assert_stalled_worker_terminated(workers, 0, shm_before)
 
 
 # ---------------------------------------------------------------------- #
@@ -471,7 +492,10 @@ def test_gateway_expires_queued_requests_at_their_deadline():
         assert (stats.batches, stats.flush_deadline) == (2, 0)
 
 
-def test_gateway_propagates_deadline_into_sharded_engine():
+def test_gateway_propagates_deadline_into_sharded_engine(monkeypatch):
+    monkeypatch.setattr("repro.parallel.sharded._SHUTDOWN_WAIT_S",
+                        _STALL_SHUTDOWN_WAIT_S)
+    shm_before = _shm_entries()
     model, histories = _workload()
     shard0_users, shard1_users = _shard_users()
     plan = FaultPlan.stall_worker(shard=0, at_request=1)
@@ -488,4 +512,6 @@ def test_gateway_propagates_deadline_into_sharded_engine():
             assert gateway.stats().expired >= 1
             assert gateway.health()["engine"]["mode"] == "sharded"
     finally:
+        workers = list(engine._workers)
         engine.close()
+    _assert_stalled_worker_terminated(workers, 0, shm_before)

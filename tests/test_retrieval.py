@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.protocol import (engine_from_snapshot_payload,
-                                    serialize_engine_snapshot)
+                                    serialize_live_engine)
 from repro.data.dataset import InteractionDataset
 from repro.data.splits import split_setting
 from repro.evaluation.ranking import top_k_items
@@ -34,7 +34,7 @@ from repro.models import create_model
 from repro.parallel import SharedArena, default_start_method
 from repro.parallel.shm import SHM_PREFIX
 from repro.parallel.sharded import make_scoring_engine
-from repro.retrieval import (ANN_KIND_LSH, ANN_KIND_PQ, ANN_MAGIC, ANN_PREFIX,
+from repro.retrieval import (ANN_KIND_LSH, ANN_KIND_PQ, ANN_MAGIC,
                              ANNIndex, HEADER_STRUCT, RetrievalConfig)
 from repro.serving import ScoringEngine
 from repro.training import Trainer, TrainingConfig
@@ -322,9 +322,7 @@ def test_ann_answers_identical_across_worker_counts():
 def _candidates_in_subprocess(layout, queries, queue):
     arena = SharedArena.attach(layout)
     try:
-        arrays = {key: arena.array(key) for key in arena.keys()
-                  if key.startswith(ANN_PREFIX)}
-        index = ANNIndex.from_arrays(arrays)
+        index = ANNIndex.from_arrays(arena.arrays())
         queue.put([index.candidates(query, 10).tolist() for query in queries])
     finally:
         arena.close()
@@ -339,8 +337,7 @@ def test_arena_publish_attach_round_trip_is_bit_identical():
         # In-process attach: a second read-only mapping of the segment.
         attached = SharedArena.attach(arena.layout)
         try:
-            arrays = {key: attached.array(key) for key in attached.keys()}
-            rebuilt = ANNIndex.from_arrays(arrays)
+            rebuilt = ANNIndex.from_arrays(attached.arrays())
             assert rebuilt.kind == index.kind
             assert [rebuilt.candidates(q, 10).tolist() for q in queries] == parent
         finally:
@@ -485,12 +482,10 @@ def test_snapshot_round_trip_ships_the_index():
     users = np.arange(split.num_users, dtype=np.int64)
 
     origin = ScoringEngine(model, histories)
-    origin.attach_ann_index(ANNIndex.build(np.ascontiguousarray(
-        origin._scorer().candidate_embeddings[:NUM_ITEMS])))
+    origin.build_ann_index(RetrievalConfig())
 
-    meta, arrays = serialize_engine_snapshot(model, histories,
-                                             ann_config=RetrievalConfig())
-    assert meta["has_ann"] is True
+    meta, arrays = serialize_live_engine(origin)
+    assert "ann_header" in arrays
     rebuilt = engine_from_snapshot_payload(meta, arrays)
     assert rebuilt.ann_index is not None
     np.testing.assert_array_equal(rebuilt.top_k(users, 5, mode="ann"),

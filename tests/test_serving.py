@@ -1,5 +1,5 @@
-"""Tests for the serving layer: top-k recommendation, similarity queries
-and HAM score explanations."""
+"""Tests for the serving layer's query verbs (top-k recommendation,
+scores, similarity queries) and HAM score explanations."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from repro.data.dataset import InteractionDataset
 from repro.data.splits import split_setting
 from repro.models import HAM, HAMSynergy, ItemKNN, Popularity, create_model
-from repro.serving import Recommender, explain_ham_score
+from repro.serving import ScoringEngine, explain_ham_score
 from repro.training import Trainer, TrainingConfig
 
 pytestmark = pytest.mark.fast
@@ -36,11 +36,11 @@ def trained_ham(split, synergy: bool = True):
     return model
 
 
-class TestRecommender:
+class TestEngineQueries:
     def test_topk_shapes_and_ordering(self):
         split = tiny_split()
         model = trained_ham(split)
-        recommender = Recommender(model, split.train_plus_valid())
+        recommender = ScoringEngine(model, split.train_plus_valid())
         recommendations = recommender.recommend(0, k=5)
         assert len(recommendations) == 5
         scores = [entry.score for entry in recommendations]
@@ -51,7 +51,7 @@ class TestRecommender:
         split = tiny_split()
         model = trained_ham(split)
         histories = split.train_plus_valid()
-        recommender = Recommender(model, histories)
+        recommender = ScoringEngine(model, histories)
         for entry in recommender.recommend(0, k=10):
             assert entry.item not in set(histories[0])
 
@@ -59,7 +59,7 @@ class TestRecommender:
         split = tiny_split()
         pop = Popularity(split.num_users, NUM_ITEMS).fit_counts(split.train_plus_valid())
         histories = split.train_plus_valid()
-        with_seen = Recommender(pop, histories, exclude_seen=False).recommend(0, k=5)
+        with_seen = ScoringEngine(pop, histories, exclude_seen=False).recommend(0, k=5)
         # POP's global top item is almost surely in some user's history, so
         # allowing seen items must not error and must return k entries.
         assert len(with_seen) == 5
@@ -67,7 +67,7 @@ class TestRecommender:
     def test_batch_matches_single(self):
         split = tiny_split()
         model = trained_ham(split)
-        recommender = Recommender(model, split.train_plus_valid())
+        recommender = ScoringEngine(model, split.train_plus_valid())
         batch = recommender.recommend_batch([0, 1], k=3)
         for user, expected in zip((0, 1), batch):
             single = recommender.recommend(user, k=3)
@@ -81,14 +81,14 @@ class TestRecommender:
     def test_score_matches_recommendation_score(self):
         split = tiny_split()
         model = trained_ham(split)
-        recommender = Recommender(model, split.train_plus_valid())
+        recommender = ScoringEngine(model, split.train_plus_valid())
         top = recommender.recommend(2, k=1)[0]
         assert recommender.score(2, top.item) == pytest.approx(top.score)
 
     def test_similar_items_embedding_model(self):
         split = tiny_split()
         model = trained_ham(split)
-        recommender = Recommender(model, split.train_plus_valid())
+        recommender = ScoringEngine(model, split.train_plus_valid())
         similar = recommender.similar_items(3, k=4)
         assert len(similar) == 4
         assert all(entry.item != 3 for entry in similar)
@@ -99,14 +99,22 @@ class TestRecommender:
         split = tiny_split()
         knn = ItemKNN(split.num_users, NUM_ITEMS, cooccurrence_window=2)
         knn.fit_counts(split.train_plus_valid())
-        recommender = Recommender(knn, split.train_plus_valid())
+        recommender = ScoringEngine(knn, split.train_plus_valid())
         similar = recommender.similar_items(0, k=3)
         assert all(entry.item != 0 for entry in similar)
+        assert [(entry.item, entry.score) for entry in similar] == knn.neighbors(0, 3)
+        assert [entry.rank for entry in similar] == list(range(len(similar)))
+
+    def test_similar_items_without_geometry_is_refused(self):
+        split = tiny_split()
+        pop = Popularity(split.num_users, NUM_ITEMS).fit_counts(split.train_plus_valid())
+        with pytest.raises(NotImplementedError):
+            ScoringEngine(pop, split.train_plus_valid()).similar_items(0, k=3)
 
     def test_validation(self):
         split = tiny_split()
         model = trained_ham(split)
-        recommender = Recommender(model, split.train_plus_valid())
+        recommender = ScoringEngine(model, split.train_plus_valid())
         with pytest.raises(ValueError):
             recommender.recommend(999, k=5)
         with pytest.raises(ValueError):
@@ -116,7 +124,7 @@ class TestRecommender:
         with pytest.raises(ValueError):
             recommender.similar_items(-1)
         with pytest.raises(ValueError):
-            Recommender(model, histories=[[0, 1]])   # too few histories
+            ScoringEngine(model, histories=[[0, 1]])   # too few histories
 
 
 class TestExplanation:
@@ -128,7 +136,7 @@ class TestExplanation:
         assert explanation.total == pytest.approx(
             explanation.user_preference + explanation.high_order + explanation.low_order
         )
-        recommender = Recommender(model, split.train_plus_valid())
+        recommender = ScoringEngine(model, split.train_plus_valid())
         assert explanation.total == pytest.approx(recommender.score(0, 5), abs=1e-9)
         assert explanation.uses_synergies
         assert explanation.dominant_factor() in ("user_preference", "high_order", "low_order")
@@ -139,7 +147,7 @@ class TestExplanation:
         model = trained_ham(split, synergy=False)
         history = split.train_plus_valid()[1]
         explanation = explain_ham_score(model, user=1, history=history, item=7)
-        recommender = Recommender(model, split.train_plus_valid())
+        recommender = ScoringEngine(model, split.train_plus_valid())
         assert explanation.total == pytest.approx(recommender.score(1, 7), abs=1e-9)
         assert not explanation.uses_synergies
 

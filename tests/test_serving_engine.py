@@ -13,7 +13,7 @@ from repro.evaluation.evaluator import RankingEvaluator
 from repro.evaluation.ranking import top_k_items
 from repro.models import HAM, HAMSynergy, Popularity, create_model
 from repro.models.base import FrozenScorer
-from repro.serving import Recommender, ScoringEngine, explain_ham_score, explain_ham_scores
+from repro.serving import ScoringEngine, explain_ham_score, explain_ham_scores
 from repro.training import Trainer, TrainingConfig
 
 pytestmark = pytest.mark.fast
@@ -107,16 +107,18 @@ class TestScoringEngineParity:
             engine.top_k(users, 5), _uncached_recommend(model, histories, users, 5)
         )
 
-    def test_facade_recommend_batch_matches_engine(self):
+    def test_view_weights_recommend_batch_matches_copied(self):
+        """A ``copy_weights=False`` engine (the evaluators' view of the
+        live parameters) ranks and scores like the copied snapshot."""
         split = tiny_split(seed=2)
         model = trained_model(split)
         histories = split.train_plus_valid()
         engine = ScoringEngine(model, histories)
-        facade = Recommender(model, histories)
-        for engine_row, facade_row in zip(engine.recommend_batch([0, 1, 2], 4),
-                                          facade.recommend_batch([0, 1, 2], 4)):
-            assert [e.item for e in engine_row] == [f.item for f in facade_row]
-            assert [e.score for e in engine_row] == [f.score for f in facade_row]
+        view = ScoringEngine(model, histories, copy_weights=False)
+        for engine_row, view_row in zip(engine.recommend_batch([0, 1, 2], 4),
+                                        view.recommend_batch([0, 1, 2], 4)):
+            assert [e.item for e in engine_row] == [f.item for f in view_row]
+            assert [e.score for e in engine_row] == [f.score for f in view_row]
 
     def test_micro_batching_is_invisible(self):
         split = tiny_split(seed=3)
@@ -337,37 +339,6 @@ class TestScoringEngineBehaviour:
         fresh = model.score_all(np.asarray(users, dtype=np.int64), inputs)
         assert np.array_equal(engine.score_all([0]), fresh)
         assert not np.array_equal(stale, fresh)
-
-    def test_facade_honours_caller_history_mutation(self):
-        """The old Recommender contract: histories are read live, so a
-        caller-side append changes both the inputs and the exclusions."""
-        split = tiny_split(seed=16)
-        model = trained_model(split)
-        histories = split.train_plus_valid()
-        facade = Recommender(model, histories)
-        top = facade.recommend(0, k=1)[0]
-        histories[0].append(top.item)          # caller records the interaction
-        recommended = [entry.item for entry in facade.recommend(0, k=5)]
-        assert top.item not in recommended
-        assert facade.score(0, top.item) == ScoringEngine(model, histories).score(0, top.item)
-
-    # FPMC's candidate table is derived (concatenated) per call rather
-    # than a parameter view, so it exercises the per-request re-freeze.
-    @pytest.mark.parametrize("name", ["HAMs_m", "FPMC"])
-    def test_facade_reflects_further_training(self, name):
-        """The old Recommender contract: requests see the current weights."""
-        split = tiny_split(seed=15)
-        model = trained_model(split, name)
-        histories = split.train_plus_valid()
-        facade = Recommender(model, histories)
-        before = facade.score(0, 5)
-        Trainer(model, TrainingConfig(num_epochs=1, batch_size=64, seed=2)).fit(histories)
-        users = [0]
-        inputs = pad_histories(histories, model.input_length,
-                               pad_id_for(NUM_ITEMS), users=users)
-        expected = model.score_all(np.asarray(users, dtype=np.int64), inputs)[0, 5]
-        assert facade.score(0, 5) == expected
-        assert facade.score(0, 5) != before
 
     def test_validation(self):
         split = tiny_split(seed=9)
