@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.splits import DatasetSplit
+from repro.evaluation.evaluator import check_sweep_arguments
 from repro.models.base import SequentialRecommender
 
 __all__ = [
@@ -118,10 +119,12 @@ def beyond_accuracy_report(model: SequentialRecommender, split: DatasetSplit,
 
     The model recommends ``k`` items to every user with test items, using
     the paper's testing protocol (inputs are the last training+validation
-    items, already-seen items are excluded from the ranking).  With
-    ``n_workers > 1`` the top-k sweep fans out over user-range shards
-    (bit-identical recommendations).
+    items, already-seen items are excluded from the ranking), scoring
+    ``batch_size`` users per block (at least 1).  With ``n_workers > 1``
+    the top-k sweep runs on that many threads over user ranges of one
+    engine (bit-identical recommendations); ``0`` and ``1`` run serially.
     """
+    check_sweep_arguments(batch_size, n_workers)
     if k < 1:
         raise ValueError("k must be positive")
     histories = split.train_plus_valid()
@@ -134,15 +137,11 @@ def beyond_accuracy_report(model: SequentialRecommender, split: DatasetSplit,
         if seq:
             np.add.at(item_frequencies, np.asarray(seq, dtype=np.int64), 1.0)
 
-    from repro.parallel.sharded import make_scoring_engine
+    from repro.serving.engine import ScoringEngine, threaded_top_k_scored
 
-    engine = make_scoring_engine(model, histories, n_workers=n_workers,
-                                 exclude_seen=True, micro_batch_size=batch_size,
-                                 copy_weights=False)
-    try:
-        recommendations = engine.top_k(users, k)  # chunked/fanned out internally
-    finally:
-        engine.close()
+    engine = ScoringEngine(model, histories, exclude_seen=True,
+                           micro_batch_size=batch_size, copy_weights=False)
+    recommendations, _ = threaded_top_k_scored(engine, users, k, n_workers)
 
     exposure = np.zeros(split.num_items, dtype=np.float64)
     np.add.at(exposure, recommendations.ravel(), 1.0)

@@ -22,6 +22,14 @@ from repro.models.base import SequentialRecommender
 __all__ = ["RankingEvaluator", "EvaluationResult"]
 
 
+def check_sweep_arguments(batch_size: int, n_workers: int = 0) -> None:
+    """Refuse a sweep's ``batch_size`` below 1 or ``n_workers`` below 0."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    if n_workers < 0:
+        raise ValueError(f"n_workers must be at least 0, got {n_workers}")
+
+
 @dataclass
 class EvaluationResult:
     """Aggregated metrics plus the per-user values used for significance tests."""
@@ -57,12 +65,12 @@ class RankingEvaluator:
         Exclude items already interacted with in the input history from
         the ranking (the protocol of HGN/Caser that the paper follows).
     batch_size:
-        Number of users scored per forward pass.
+        Number of users scored per forward pass (at least 1).
     n_workers:
-        Fan the scoring sweep out over this many worker processes
-        (:class:`~repro.parallel.sharded.ShardedScoringEngine`, sharded
-        by user range over shared memory).  ``<= 1`` keeps the serial
-        engine; results are bit-identical either way.
+        Fan the scoring sweep out over this many threads, each ranking a
+        contiguous user range of the one in-process engine
+        (:func:`~repro.serving.engine.threaded_top_k_scored`).  ``0`` and
+        ``1`` run serially; results are bit-identical either way.
     """
 
     def __init__(self, split: DatasetSplit, ks: tuple[int, ...] = (5, 10),
@@ -72,6 +80,7 @@ class RankingEvaluator:
             raise ValueError("mode must be 'test' or 'validation'")
         if not ks or any(k < 1 for k in ks):
             raise ValueError("ks must contain positive cutoffs")
+        check_sweep_arguments(batch_size, n_workers)
         self.split = split
         self.ks = tuple(sorted(ks))
         self.mode = mode
@@ -120,14 +129,13 @@ class RankingEvaluator:
 
         Scoring funnels through one :class:`~repro.serving.engine.ScoringEngine`
         (cached padded histories, vectorized seen-item masking) and one
-        ``top_k`` over every evaluable user.  Hits are one key lookup of
+        top-k sweep over every evaluable user.  Hits are one key lookup of
         the ``(users, max k)`` ranked-id matrix in the sorted target keys
         built at construction — no dense ``(users, num_items)`` truth
         matrix and no per-user Python loop.  With ``n_workers > 1`` the
-        sweep is sharded by user range over worker processes
-        (bit-identical results, see :mod:`repro.parallel`).
+        sweep runs on threads over user ranges (bit-identical results).
         """
-        from repro.parallel.sharded import make_scoring_engine
+        from repro.serving.engine import ScoringEngine, threaded_top_k_scored
 
         if model.num_items > self.split.num_items:
             # A ranked id past the split's catalogue would alias the next
@@ -140,21 +148,9 @@ class RankingEvaluator:
             result.metrics = {f"{metric}@{k}": 0.0 for metric in ("Recall", "NDCG") for k in self.ks}
             return result
 
-        engine = make_scoring_engine(model, self._histories,
-                                     n_workers=self.n_workers,
-                                     exclude_seen=self.exclude_seen,
-                                     micro_batch_size=self.batch_size,
-                                     copy_weights=False)
-        try:
-            return self._evaluate_with_engine(engine, result)
-        finally:
-            engine.close()
-
-    def _evaluate_with_engine(self, engine, result: EvaluationResult) -> EvaluationResult:
-        # One top_k call over all evaluable users: the serial engine chunks
-        # by micro_batch_size internally and the sharded engine fans the
-        # whole sweep out to its workers in one round trip.
-        ranked = engine.top_k(self._users, max(self.ks))
+        engine = ScoringEngine(model, self._histories, exclude_seen=self.exclude_seen,
+                               micro_batch_size=self.batch_size, copy_weights=False)
+        ranked, _ = threaded_top_k_scored(engine, self._users, max(self.ks), self.n_workers)
         rows = np.arange(len(self._users), dtype=np.int64)[:, None]
         probes = rows * self.split.num_items + ranked
         keys = self._target_keys

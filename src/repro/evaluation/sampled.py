@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.splits import DatasetSplit
+from repro.evaluation.evaluator import check_sweep_arguments
 from repro.models.base import SequentialRecommender
 
 __all__ = ["SampledRankingEvaluator", "SampledEvaluationResult"]
@@ -64,6 +65,7 @@ class SampledRankingEvaluator:
             raise ValueError("num_negatives must be positive")
         if max_test_items_per_user is not None and max_test_items_per_user < 1:
             raise ValueError("max_test_items_per_user must be positive or None")
+        check_sweep_arguments(batch_size)
         self.split = split
         self.ks = tuple(sorted(ks))
         self.num_negatives = num_negatives

@@ -7,11 +7,22 @@ time the full scoring pass over the evaluable users and divide by the
 number of users.  Of several passes the fastest is kept (``timeit``'s
 convention): at bench scale one pass takes a few microseconds per user,
 so any slower pass measures timer and scheduler noise, not the model.
+
+The passes run with the bundled OpenBLAS pinned to one thread.  A
+multi-threaded gemm whose helper thread waits for a core that another
+process keeps busy can stall for the whole measurement, which
+fastest-of-N cannot remove (on a 2-vCPU VM beside one busy process, a
+tiny-scale pass took about 2e-4 s per user instead of under 1e-5 s);
+one thread per pass times the model alone.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +32,40 @@ from repro.evaluation.evaluator import RankingEvaluator
 from repro.models.base import SequentialRecommender
 
 __all__ = ["InferenceTiming", "measure_inference_time"]
+
+
+def _openblas():
+    """NumPy's bundled OpenBLAS (``numpy.libs``), or ``None``."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                           "numpy.libs", "libscipy_openblas64_*.so")
+    for path in glob.glob(pattern):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if all(hasattr(library, symbol) for symbol in (
+                "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_")):
+            return library
+    return None
+
+
+@contextmanager
+def _single_blas_thread():
+    """Pin the bundled OpenBLAS to one thread; restore the count on exit.
+
+    Where NumPy carries no such library (another BLAS, or a build without
+    the thread-count symbols), the block runs unpinned.
+    """
+    library = _openblas()
+    if library is None:
+        yield
+        return
+    previous = library.scipy_openblas_get_num_threads64_()
+    library.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        library.scipy_openblas_set_num_threads64_(previous)
 
 
 @dataclass(frozen=True)
@@ -52,7 +97,8 @@ def measure_inference_time(model: SequentialRecommender,
     ----------
     repeats:
         Number of full passes; the fastest one is reported, which keeps
-        a fast model's microsecond timings stable across runs.
+        a fast model's microsecond timings stable across runs.  Every
+        pass runs with OpenBLAS on one thread (see the module docstring).
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
@@ -71,11 +117,12 @@ def measure_inference_time(model: SequentialRecommender,
         batches.append((np.asarray(chunk, dtype=np.int64), inputs))
 
     fastest = float("inf")
-    for _ in range(repeats):
-        start_time = time.perf_counter()
-        for user_array, inputs in batches:
-            model.score_all(user_array, inputs)
-        fastest = min(fastest, time.perf_counter() - start_time)
+    with _single_blas_thread():
+        for _ in range(repeats):
+            start_time = time.perf_counter()
+            for user_array, inputs in batches:
+                model.score_all(user_array, inputs)
+            fastest = min(fastest, time.perf_counter() - start_time)
     return InferenceTiming(
         model_name=model_name or type(model).__name__,
         total_seconds=fastest,

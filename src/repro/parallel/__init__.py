@@ -1,7 +1,10 @@
 """Multi-process execution substrate.
 
-Parallelizes serving and evaluation across worker processes while
-keeping the single-process results bit-for-bit reproducible:
+Parallelizes serving (``serve --workers``, ``make_scoring_engine``)
+across worker processes while keeping the single-process results
+bit-for-bit reproducible.  The evaluators do not use it: their sweep
+runs on threads over one in-process engine
+(:func:`~repro.serving.engine.threaded_top_k_scored`).
 
 * :class:`~repro.parallel.shm.SharedArena` — publish a set of read-only
   numpy arrays into one ``multiprocessing.shared_memory`` segment;

@@ -44,11 +44,16 @@ ways: from a model and its histories, or with
 workers, the sharded engine's degraded fallback, cluster nodes
 bootstrapped from a peer frame or a same-host arena).
 :func:`snapshot_arrays` is the one writer of that layout.
+
+:func:`threaded_top_k_scored` is the evaluators' parallel sweep: threads
+over disjoint user ranges of one engine (NumPy releases the GIL in the
+gemm, the seen mask and the top-k kernel).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +66,7 @@ from repro.models.base import FrozenScorer, SequentialRecommender
 from repro.retrieval.index import ANN_PREFIX, ANNIndex, RetrievalConfig
 
 __all__ = ["Recommendation", "RankingVerbs", "ScoringEngine", "recommendations",
-           "snapshot_arrays"]
+           "snapshot_arrays", "threaded_top_k_scored"]
 
 
 @dataclass(frozen=True)
@@ -646,6 +651,43 @@ class ScoringEngine(RankingVerbs):
             Recommendation(item=int(other), score=float(similarities[other]), rank=rank)
             for rank, other in enumerate(order)
         ]
+
+
+def threaded_top_k_scored(engine: ScoringEngine, users, k: int,
+                          n_workers: int) -> tuple[np.ndarray, np.ndarray]:
+    """``engine.top_k_scored(users, k)`` over ``n_workers`` threads.
+
+    The calling thread first builds the seen arrays and caches every
+    requested user's representation, one ``micro_batch_size`` block at a
+    time as the serial sweep does, so the model forward (and ``no_grad``,
+    a process-global flag) only ever runs on the caller.  The users are
+    then cut into ``min(n_workers, blocks)`` contiguous ranges on block
+    boundaries: every gemm holds exactly the rows the serial sweep gives
+    it, which keeps the result bit-identical.  Each range is ranked on a
+    thread of a per-call pool that is joined before returning.
+
+    With ``n_workers <= 1``, a single block, or an engine without the
+    representation cache (count-based models score through
+    ``model.score_all``), the sweep runs inline.
+    """
+    users = engine._as_user_array(users)
+    batch = engine.micro_batch_size
+    blocks = -(-users.size // batch)
+    n_ranges = min(n_workers, blocks)
+    if n_ranges <= 1 or engine._rep_valid is None:
+        return engine.top_k_scored(users, k)
+    if engine.exclude_seen:
+        engine._ensure_seen_arrays()
+    for start in range(0, users.size, batch):
+        engine._ensure_representations(users[start:start + batch])
+    base, extra = divmod(blocks, n_ranges)
+    edges = [min(users.size, batch * (part * base + min(part, extra)))
+             for part in range(n_ranges + 1)]
+    with ThreadPoolExecutor(max_workers=n_ranges) as pool:
+        parts = list(pool.map(lambda lo, hi: engine.top_k_scored(users[lo:hi], k),
+                              edges[:-1], edges[1:]))
+    return (np.concatenate([ranked for ranked, _ in parts]),
+            np.concatenate([scores for _, scores in parts]))
 
 
 # ---------------------------------------------------------------------- #

@@ -398,6 +398,37 @@ class TestTiming:
         assert timing.total_seconds == 2.0
         assert timing.seconds_per_user == 2.0 / evaluator.num_evaluable_users
 
+    def test_passes_run_on_one_blas_thread(self, monkeypatch):
+        """Inside every timed pass OpenBLAS runs one thread; the previous
+        count is restored afterwards."""
+        from repro.evaluation.timing import _openblas
+
+        library = _openblas()
+        if library is None:
+            pytest.skip("NumPy carries no pinnable OpenBLAS")
+        dataset = pattern_dataset(seed=7)
+        split = split_setting(dataset, "80-20-CUT")
+        evaluator = RankingEvaluator(split, batch_size=4)
+        model = HAM(dataset.num_users, dataset.num_items, embedding_dim=8,
+                    rng=np.random.default_rng(4))
+        counts = []
+        score_all = model.score_all
+
+        def counting_score_all(users, inputs):
+            counts.append(library.scipy_openblas_get_num_threads64_())
+            return score_all(users, inputs)
+
+        monkeypatch.setattr(model, "score_all", counting_score_all)
+        original = library.scipy_openblas_get_num_threads64_()
+        library.scipy_openblas_set_num_threads64_(2)
+        try:
+            measure_inference_time(model, evaluator, repeats=2)
+            assert library.scipy_openblas_get_num_threads64_() == 2
+        finally:
+            library.scipy_openblas_set_num_threads64_(original)
+        assert len(counts) == 2 * -(-evaluator.num_evaluable_users // 4)
+        assert set(counts) == {1}
+
     def test_invalid_repeats(self):
         dataset = pattern_dataset(seed=8)
         split = split_setting(dataset, "80-20-CUT")

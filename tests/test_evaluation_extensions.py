@@ -216,6 +216,8 @@ class TestSampledEvaluator:
             SampledRankingEvaluator(split, num_negatives=0)
         with pytest.raises(ValueError):
             SampledRankingEvaluator(split, max_test_items_per_user=0)
+        with pytest.raises(ValueError, match="batch_size"):
+            SampledRankingEvaluator(split, batch_size=0)
 
     def test_deterministic_given_seed(self):
         split = tiny_split()
