@@ -55,7 +55,21 @@ class FrozenScorer:
             self.candidate_embeddings[: self.num_items].T))
         return kept
 
-    def scores_from_representation(self, representation: np.ndarray) -> np.ndarray:
+    def score_buffer(self, rows: int) -> np.ndarray | None:
+        """Flat scratch that ``scores_from_representation(out=...)`` reuses.
+
+        Holds the product of up to ``rows`` rows in either layout (the
+        row-major head writes ``num_items + 1`` columns).  ``None`` when
+        the item bias would widen the product's dtype: adding it in place
+        would then cast, so such heads keep the allocating path.
+        """
+        dtype = self.candidate_embeddings.dtype
+        if self.item_bias is not None and np.result_type(dtype, self.item_bias) != dtype:
+            return None
+        return np.empty(rows * (self.num_items + 1), dtype=dtype)
+
+    def scores_from_representation(self, representation: np.ndarray,
+                                   out: np.ndarray | None = None) -> np.ndarray:
         """Scores of every real item, ``(B, num_items)``, from ``(B, d)`` reps.
 
         Two or more rows against a column table are one gemm with a
@@ -64,13 +78,27 @@ class FrozenScorer:
         table (``docs/serving.md``, "Scoring kernel").  One row (a gemv
         either way) and scorers without a column table keep the
         row-major product.
+
+        ``out`` is a :meth:`score_buffer` of this scorer, and the
+        representation must have the table's dtype.  The product is then
+        written into the buffer's leading elements, laid out as a fresh
+        product would be, the bias is added in place, and the result is a
+        view of the buffer (the same bits as without ``out``).
         """
-        if self.item_columns is not None and representation.shape[0] > 1:
-            scores = representation @ self.item_columns
+        rows = representation.shape[0]
+        if self.item_columns is not None and rows > 1:
+            table = self.item_columns
         else:
-            scores = (representation @ self.candidate_embeddings.T)[:, : self.num_items]
+            table = self.candidate_embeddings.T
+        if out is not None:
+            if representation.dtype != out.dtype:
+                raise ValueError(f"representation dtype {representation.dtype} "
+                                 f"does not match the buffer's {out.dtype}")
+            out = out[: rows * table.shape[1]].reshape(rows, table.shape[1])
+        scores = np.matmul(representation, table, out=out)[:, : self.num_items]
         if self.item_bias is not None:
-            scores = scores + self.item_bias[: self.num_items]
+            bias = self.item_bias[: self.num_items]
+            scores = scores + bias if out is None else np.add(scores, bias, out=scores)
         return scores
 
 

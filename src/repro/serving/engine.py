@@ -22,8 +22,9 @@ kernel on multi-row blocks, ``argpartition`` on single rows and small
 catalogues; score descending, ties by ascending item id) — no
 per-request padding, no Python ``set`` construction and no embedding
 forward pass.  ``top_k_scored`` processes large user lists in
-``micro_batch_size`` chunks so peak memory stays bounded by
-``micro_batch_size x num_items`` scores.
+``micro_batch_size`` chunks, all scored into one reused buffer per call,
+so peak memory stays at one ``(micro_batch_size, num_items + 1)``
+buffer per concurrent call.
 
 ``top_k_scored`` is the one ranking verb every backend implements (this
 engine, the sharded engine, the cluster router); :class:`RankingVerbs`
@@ -118,17 +119,24 @@ class ScoringEngine(RankingVerbs):
         Any trained model of the study (gradient-based or count-based).
     histories:
         Per-user interaction histories the recommendations condition on —
-        typically ``split.train_plus_valid()`` after training.
+        typically ``split.train_plus_valid()`` after training.  An id
+        outside ``[0, num_items)`` (the pad id included) raises
+        ``ValueError`` naming the user and the id: at construction when
+        it is among the ``input_length`` most recent items (the ones the
+        model reads), otherwise when the first request that masks seen
+        items builds the seen arrays, before anything is masked.
     exclude_seen:
         Exclude items already present in a user's history from rankings
         (the paper's protocol).  Per-request overrides are available on
         :meth:`top_k_scored`.
     micro_batch_size:
         Users per chunk for the model forward and for the score matrix of
-        :meth:`top_k_scored`; keeps peak memory at
-        ``micro_batch_size x num_items`` scores for large user lists.
-        (:meth:`score_all` returns the full ``(B, num_items)`` matrix by
-        contract, so its output necessarily scales with the request.)
+        :meth:`top_k_scored`.  Each call scores all of its chunks into one
+        buffer it owns, so peak memory is one
+        ``(micro_batch_size, num_items + 1)`` buffer per concurrent call,
+        whatever the length of the user list.  (:meth:`score_all` returns
+        the full ``(B, num_items)`` matrix by contract, so its output
+        necessarily scales with the request.)
     precompute:
         Materialize every user's representation eagerly at construction.
         With ``False`` (the default) representations are computed on
@@ -157,8 +165,10 @@ class ScoringEngine(RankingVerbs):
         self._copy_weights = copy_weights
         self._histories = [list(histories[user]) for user in range(self.num_users)]
         self._inputs = pad_histories(self._histories, self.input_length, self.pad_id)
+        self._check_recent_items()
         # Seen-item index arrays, built lazily on the first masked request
-        # (an exclude_seen=False engine never pays for them).
+        # (an exclude_seen=False engine never pays for them); the build
+        # checks every older history id.
         self._seen_items: list[np.ndarray] | None = None
 
         # Fast path: models exposing the representation/embedding
@@ -344,11 +354,43 @@ class ScoringEngine(RankingVerbs):
             )
         self._ann = index
 
+    def _check_recent_items(self) -> None:
+        """Refuse an id outside ``[0, num_items)`` among the padded inputs.
+
+        These are the ids the model forward reads.  The pad id cannot be
+        told from padding once written, so a row holding more pads than
+        its history is short of ``input_length`` holds one among its
+        recent items.
+        """
+        inputs = self._inputs
+        lengths = np.fromiter(map(len, self._histories), dtype=np.int64,
+                              count=self.num_users)
+        bad = (np.count_nonzero(inputs == self.pad_id, axis=1)
+               != np.maximum(self.input_length - lengths, 0))
+        if inputs.min() < 0 or inputs.max() > self.pad_id:
+            bad |= ((inputs < 0) | (inputs > self.pad_id)).any(axis=1)
+        if bad.any():
+            self._refuse_history(int(np.flatnonzero(bad)[0]))
+
+    def _refuse_history(self, user: int) -> None:
+        history = np.asarray(self._histories[user], dtype=np.int64)
+        item = history[(history < 0) | (history >= self.num_items)][0]
+        raise ValueError(f"user {user}'s history holds item id {item}, "
+                         f"outside [0, {self.num_items})")
+
     def _ensure_seen_arrays(self) -> None:
-        """Materialize the per-user seen arrays (lazy, one CSR pass)."""
+        """Materialize the per-user seen arrays (one CSR pass).
+
+        Every history id passes through the index, so an id outside
+        ``[0, num_items)`` is refused here, before any mask reads it.
+        """
         if self._seen_items is not None:
             return
         index = SeenIndex.from_histories(self._histories, self.num_items)
+        items = index.items
+        if items.size and (items.min() < 0 or items.max() >= self.num_items):
+            first = np.flatnonzero((items < 0) | (items >= self.num_items))[0]
+            self._refuse_history(int(np.searchsorted(index.indptr, first, side="right")) - 1)
         self._seen_items = [index.user_items(user) for user in range(self.num_users)]
 
     def _ann_candidates(self, rep: np.ndarray, k: int, n_probe: int,
@@ -529,19 +571,40 @@ class ScoringEngine(RankingVerbs):
             return self._representations[users]
         return self._compute_representations(users)
 
-    def _mask_seen(self, scores: np.ndarray, users: np.ndarray) -> None:
-        """Push each user's seen items to ``-inf``, in place."""
+    def _block_scores(self, users: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+        """Raw scores of validated ``users`` in one product (or model call).
+
+        ``out`` is a :meth:`FrozenScorer.score_buffer` the result may
+        live in; only :meth:`top_k_scored` passes one, since its scores
+        never leave the engine.
+        """
+        if self._frozen is not None:
+            return self._frozen.scores_from_representation(
+                self._representations_for(users), out)
+        return self.model.score_all(users, self._inputs[users])
+
+    def _mask_seen(self, scores: np.ndarray, users: np.ndarray) -> np.ndarray:
+        """``scores`` with each user's seen items pushed to ``-inf``.
+
+        In place on the fast path, whose scores the engine owns; the
+        ``model.score_all`` fallback masks a defensive float64 copy (a
+        model override may return aliased or integer-typed scores).
+        """
+        if self._frozen is None:
+            scores = np.array(scores, dtype=np.float64, copy=True)
         # Built through the shared CSR index (one pass over the
         # histories); the per-user views stay cheap to index with and
         # observe() replaces them per user as interactions arrive.
         self._ensure_seen_arrays()
         if users.size == 0:
-            return
+            return scores
         # One flat fancy assignment per block instead of one per row.
         seen = [self._seen_items[user] for user in users]
         lengths = np.fromiter(map(len, seen), dtype=np.int64, count=len(seen))
         scores[np.repeat(np.arange(len(seen)), lengths),
                np.concatenate(seen)] = -np.inf
+        return scores
 
     # ------------------------------------------------------------------ #
     # Scoring
@@ -551,15 +614,15 @@ class ScoringEngine(RankingVerbs):
 
         Matches ``model.score_all`` on the same users bit-for-bit (the
         parity the evaluators rely on), but serves repeated requests from
-        the cached representations.
+        the cached representations.  The result is a fresh array: it
+        leaves the engine, so it never shares memory with the buffer
+        :meth:`top_k_scored` reuses.
         """
         users = self._as_user_array(users)
         if self._frozen is not None:
-            return self._frozen.scores_from_representation(self._representations_for(users))
-        chunks = []
-        for start in range(0, users.size, self.micro_batch_size):
-            chunk = users[start:start + self.micro_batch_size]
-            chunks.append(self.model.score_all(chunk, self._inputs[chunk]))
+            return self._block_scores(users)
+        chunks = [self._block_scores(users[start:start + self.micro_batch_size])
+                  for start in range(0, users.size, self.micro_batch_size)]
         if not chunks:
             return np.zeros((0, self.num_items), dtype=np.float64)
         return chunks[0] if len(chunks) == 1 else np.vstack(chunks)
@@ -567,17 +630,12 @@ class ScoringEngine(RankingVerbs):
     def masked_scores(self, users) -> np.ndarray:
         """Scores with seen items pushed to ``-inf``.
 
-        On the fast path the engine owns the freshly computed score
-        array, so the mask is applied in place; the ``model.score_all``
-        fallback gets a defensive float64 copy (a model override may
-        return aliased or integer-typed scores).
+        A fresh array, as :meth:`score_all`'s: the mask is applied in
+        place on the fast path, and to a defensive float64 copy on the
+        ``model.score_all`` fallback (see :meth:`_mask_seen`).
         """
         users = self._as_user_array(users)
-        scores = self.score_all(users)
-        if self._frozen is None:
-            scores = np.array(scores, dtype=np.float64, copy=True)
-        self._mask_seen(scores, users)
-        return scores
+        return self._mask_seen(self.score_all(users), users)
 
     def top_k_scored(self, users, k: int, exclude_seen: bool | None = None,
                      mode: str | None = None, n_probe: int | None = None,
@@ -587,10 +645,12 @@ class ScoringEngine(RankingVerbs):
 
         ``mode`` selects the retrieval stage: ``"exact"`` (the default)
         scores the full catalogue — large user lists are processed in
-        ``micro_batch_size`` chunks so only ``(chunk, num_items)``
-        scores are alive at a time.  ``"ann"`` asks the attached
-        :class:`~repro.retrieval.index.ANNIndex` for candidates and
-        re-ranks only those with exact scores; ``n_probe`` /
+        ``micro_batch_size`` chunks, each scored into the same buffer of
+        this call, so only ``(chunk, num_items + 1)`` scores are alive at
+        a time (models without a frozen head, and heads whose item bias
+        would widen the product's dtype, allocate per chunk).  ``"ann"``
+        asks the attached :class:`~repro.retrieval.index.ANNIndex` for
+        candidates and re-ranks only those with exact scores; ``n_probe`` /
         ``candidate_multiplier`` override the index's dial defaults for
         this request (more probes → higher recall, more latency).
         Seen items are masked to ``-inf`` before ranking, so only ids
@@ -608,11 +668,20 @@ class ScoringEngine(RankingVerbs):
         width = min(k, self.num_items)
         ranked = np.empty((users.size, width), dtype=np.int64)
         out_scores = np.empty((users.size, width), dtype=np.float64)
-        for start in range(0, users.size, self.micro_batch_size):
-            chunk = users[start:start + self.micro_batch_size]
-            scores = self.masked_scores(chunk) if exclude else self.score_all(chunk)
+        batch = self.micro_batch_size
+        # One scratch per call, never stored on the engine: concurrent
+        # calls (evaluator threads, gateway and node threads) each own
+        # theirs, and every block of this call (the ragged last one in its
+        # leading rows) is scored into it instead of into fresh pages.
+        buffer = (self._frozen.score_buffer(min(users.size, batch))
+                  if self._frozen is not None else None)
+        for start in range(0, users.size, batch):
+            chunk = users[start:start + batch]
+            scores = self._block_scores(chunk, buffer)
+            if exclude:
+                scores = self._mask_seen(scores, chunk)
             ids = top_k_items(scores, k)
-            stop = start + self.micro_batch_size
+            stop = start + batch
             ranked[start:stop] = ids
             out_scores[start:stop] = scores[np.arange(ids.shape[0])[:, None], ids]
         return ranked, out_scores

@@ -3,10 +3,13 @@ the batched HAM score explanations."""
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.data.dataset import InteractionDataset
+from repro.data.seen import SeenIndex
 from repro.data.splits import split_setting
 from repro.data.windows import pad_histories, pad_id_for
 from repro.evaluation.evaluator import RankingEvaluator
@@ -14,6 +17,7 @@ from repro.evaluation.ranking import top_k_items
 from repro.models import HAM, HAMSynergy, Popularity, create_model
 from repro.models.base import FrozenScorer
 from repro.serving import ScoringEngine, explain_ham_score, explain_ham_scores
+from repro.serving.engine import snapshot_arrays, threaded_top_k_scored
 from repro.training import Trainer, TrainingConfig
 
 pytestmark = pytest.mark.fast
@@ -290,6 +294,167 @@ class TestScoringKernel:
                 assert np.array_equal(scores, rows[0][1])
 
 
+def allocating_top_k_scored(engine, users, k, exclude):
+    """The exact loop before the score buffer: ``top_k_items(masked_scores(block))``
+    per ``micro_batch_size`` block, every block in fresh memory."""
+    users = np.asarray(users, dtype=np.int64)
+    ranked, scores = [], []
+    for start in range(0, users.size, engine.micro_batch_size):
+        chunk = users[start:start + engine.micro_batch_size]
+        block = engine.masked_scores(chunk) if exclude else engine.score_all(chunk)
+        ids = top_k_items(block, k)
+        ranked.append(ids)
+        scores.append(block[np.arange(ids.shape[0])[:, None], ids].astype(np.float64))
+    return np.concatenate(ranked), np.concatenate(scores)
+
+
+def assert_same_bytes(got, expected):
+    for got_part, expected_part in zip(got, expected):
+        assert got_part.dtype == expected_part.dtype
+        assert got_part.shape == expected_part.shape
+        assert got_part.tobytes() == expected_part.tobytes()
+
+
+BUFFER_USERS, BUFFER_ITEMS, BUFFER_BLOCK = 40, 5_000, 8
+
+
+def buffer_engine(name="HAMm", dtype="float32", copy_weights=True):
+    """An engine whose blocks reach the threshold top-k kernel (>= 8 rows,
+    >= 4 096 items); Fossil's head carries an item bias (drawn non-zero),
+    HAMm's none."""
+    rng = np.random.default_rng(21)
+    model = create_model(name, BUFFER_USERS, BUFFER_ITEMS, rng=rng, embedding_dim=16,
+                         dtype=dtype, **({"n_h": 4, "n_l": 2} if name == "HAMm" else {}))
+    bias = model.item_bias()
+    if bias is not None:
+        bias.data[:] = rng.standard_normal(bias.data.shape)
+    histories = [rng.integers(0, BUFFER_ITEMS, size=rng.integers(3, 30)).tolist()
+                 for _ in range(BUFFER_USERS)]
+    return ScoringEngine(model, histories, micro_batch_size=BUFFER_BLOCK,
+                         copy_weights=copy_weights)
+
+
+def spy_on_buffers(monkeypatch, barrier=None):
+    """Record ``(thread, out)`` for every ``scores_from_representation`` call."""
+    calls = []
+    original = FrozenScorer.scores_from_representation
+
+    def spy(self, representation, out=None):
+        calls.append((threading.get_ident(), out))
+        if barrier is not None and out is not None:
+            barrier.wait(timeout=30)  # both calls are in flight at once
+        return original(self, representation, out)
+
+    monkeypatch.setattr(FrozenScorer, "scores_from_representation", spy)
+    return calls
+
+
+class TestScoreBuffer:
+    """Each ``top_k_scored`` call scores its blocks into one buffer it owns."""
+
+    @pytest.mark.parametrize("name", ["HAMm", "Fossil"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("copy_weights", [True, False])  # column / view head
+    def test_bytes_match_the_allocating_loop(self, name, dtype, copy_weights):
+        engine = buffer_engine(name, dtype, copy_weights)
+        assert (engine._frozen.item_bias is not None) == (name == "Fossil")
+        assert (engine._frozen.item_columns is not None) == copy_weights
+        order = np.random.default_rng(3).permutation(BUFFER_USERS)
+        # One row, exactly one block, and three blocks with a ragged tail.
+        for users in (order[:1], order[:BUFFER_BLOCK], order[:2 * BUFFER_BLOCK + 5]):
+            for exclude in (True, False):
+                expected = allocating_top_k_scored(engine, users, 10, exclude)
+                assert_same_bytes(engine.top_k_scored(users, 10, exclude_seen=exclude),
+                                  expected)
+        users = order[:2 * BUFFER_BLOCK + 5]
+        expected = allocating_top_k_scored(engine, users, 10, True)
+        for n_workers in (2, 3):
+            assert_same_bytes(threaded_top_k_scored(engine, users, 10, n_workers), expected)
+
+    def test_one_buffer_per_call(self, monkeypatch):
+        engine = buffer_engine()
+        attributes = set(vars(engine))
+        calls = spy_on_buffers(monkeypatch)
+        engine.top_k_scored(np.arange(2 * BUFFER_BLOCK + 5), 10)
+        assert len(calls) == 3
+        assert calls[0][1] is not None
+        assert all(out is calls[0][1] for _thread, out in calls)
+        # The ragged tail reuses the leading rows: the buffer holds one block.
+        assert calls[0][1].size == BUFFER_BLOCK * (BUFFER_ITEMS + 1)
+        assert set(vars(engine)) == attributes
+        assert not any(isinstance(value, np.ndarray) and np.shares_memory(value, calls[0][1])
+                       for value in vars(engine).values())
+
+    def test_concurrent_calls_own_their_buffers(self, monkeypatch):
+        engine = buffer_engine().materialize()
+        calls = spy_on_buffers(monkeypatch, threading.Barrier(2))
+        users = np.arange(BUFFER_USERS)
+        results = {}
+
+        def rank(part):
+            results[part] = engine.top_k_scored(users[part::2], 10)
+
+        threads = [threading.Thread(target=rank, args=(part,)) for part in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        by_thread = {}
+        for thread, out in calls:
+            by_thread.setdefault(thread, []).append(out)
+        assert len(by_thread) == 2
+        first, second = (outs for outs in by_thread.values())
+        assert all(out is first[0] for out in first)
+        assert all(out is second[0] for out in second)
+        assert first[0] is not second[0]
+        assert not np.shares_memory(first[0], second[0])
+        for part in (0, 1):
+            assert_same_bytes(results[part],
+                              allocating_top_k_scored(engine, users[part::2], 10, True))
+
+    @pytest.mark.parametrize("copy_weights", [True, False])
+    def test_public_results_are_fresh(self, monkeypatch, copy_weights):
+        engine = buffer_engine("Fossil", copy_weights=copy_weights)
+        users = np.arange(BUFFER_BLOCK)
+        raw = engine.score_all(users)
+        masked = engine.masked_scores(users)
+        kept = raw.copy(), masked.copy()
+        assert not np.shares_memory(raw, masked)
+        calls = spy_on_buffers(monkeypatch)
+        engine.top_k_scored(users, 10)
+        buffer = calls[0][1]
+        assert buffer is not None
+        assert not np.shares_memory(raw, buffer)
+        assert not np.shares_memory(masked, buffer)
+        assert np.array_equal(raw, kept[0]) and np.array_equal(masked, kept[1])
+
+    def test_a_widening_bias_keeps_the_allocating_path(self, monkeypatch):
+        """A float64 bias on a float32 table: an in-place add would cast."""
+        source = buffer_engine("Fossil", "float32")
+        frozen = source._frozen
+        mixed = FrozenScorer(frozen.num_items, frozen.candidate_embeddings,
+                             frozen.item_bias.astype(np.float64))
+        assert mixed.score_buffer(BUFFER_BLOCK) is None
+        seen = SeenIndex.from_histories([source.history(user) for user in range(BUFFER_USERS)],
+                                        BUFFER_ITEMS)
+        engine = ScoringEngine.from_arrays(
+            source.model, snapshot_arrays(source._inputs.copy(), seen.indptr, seen.items, mixed),
+            micro_batch_size=BUFFER_BLOCK)
+        users = np.arange(2 * BUFFER_BLOCK + 5)
+        calls = spy_on_buffers(monkeypatch)
+        got = engine.top_k_scored(users, 10)
+        assert calls and all(out is None for _thread, out in calls)
+        assert engine.score_all(users).dtype == np.float64
+        assert_same_bytes(got, allocating_top_k_scored(engine, users, 10, True))
+
+    def test_buffer_needs_the_representation_dtype(self):
+        frozen = buffer_engine()._frozen
+        with pytest.raises(ValueError, match="dtype"):
+            frozen.scores_from_representation(
+                np.zeros((2, frozen.embedding_dim)), out=frozen.score_buffer(2))
+
+
 class TestScoringEngineBehaviour:
     def test_seen_items_never_recommended(self):
         split = tiny_split(seed=5)
@@ -355,6 +520,33 @@ class TestScoringEngineBehaviour:
             ScoringEngine(model, histories[:2])
         with pytest.raises(ValueError):
             ScoringEngine(model, histories, micro_batch_size=0)
+
+    def test_refuses_history_ids_outside_the_catalogue(self):
+        num_items = 50
+        model = create_model("HAMm", 4, num_items, rng=np.random.default_rng(0),
+                             embedding_dim=8, n_h=4, n_l=2)
+        clean = [[1, 2, 3], [4, 5], [6], [7, 8, 9, 10]]
+
+        def with_user_2(history):
+            return clean[:2] + [history] + clean[3:]
+
+        # The pad id among the recent items would be scored as padding
+        # without the seen mask and index past the mask with it.
+        for exclude_seen in (False, True):
+            with pytest.raises(ValueError, match="user 2's history holds item id 50"):
+                ScoringEngine(model, with_user_2([6, 50]), exclude_seen=exclude_seen)
+        for item in (-1, 60):
+            with pytest.raises(ValueError, match=f"user 2's history holds item id {item},"):
+                ScoringEngine(model, with_user_2([6, item]))
+        # Older than the input window only the seen mask reads it: refused
+        # when the first masked request builds the seen arrays.
+        old = with_user_2([60] + list(range(model.input_length)))
+        for exclude_seen in (False, True):
+            engine = ScoringEngine(model, old, exclude_seen=exclude_seen)
+            engine.top_k([2], 3, exclude_seen=False)
+            with pytest.raises(ValueError, match="user 2's history holds item id 60"):
+                engine.top_k([2], 3, exclude_seen=True)
+        ScoringEngine(model, with_user_2([6, num_items - 1, 0]))
 
     def test_empty_request(self):
         split = tiny_split(seed=10)
